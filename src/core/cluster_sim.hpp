@@ -212,7 +212,9 @@ struct ServiceOptions {
   Seconds warmup = 0;
   std::uint64_t seed = 1;
   MixPolicy policy = MixPolicy::kClassAware;
-  MixOptions mix;  ///< slots per node, reduce slowstart
+  /// The rack options both replays share: slots per node, reduce
+  /// slowstart, the shuffle fabric and the governor/power-cap plan.
+  MixOptions mix;
 };
 
 /// Streaming distribution summary (from the P² sketches), flattened

@@ -1,0 +1,265 @@
+// The rack's frequency domains — per-node DVFS levels stepped by a
+// governor under a rack power cap, with in-flight compute legs repriced
+// at every level change — shared by both rack replays.
+#pragma once
+
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <list>
+#include <string>
+#include <vector>
+
+#include "core/cluster_sim.hpp"
+#include "core/replay/node.hpp"
+#include "power/power_model.hpp"
+#include "sim/event_queue.hpp"
+#include "util/error.hpp"
+
+namespace bvl::core::replay {
+
+/// The rack's frequency-domain runtime: one DVFS level per node,
+/// stepped by the configured governor on a fixed control period and
+/// clamped by the rack power cap. Owns the in-flight compute legs so
+/// a level change reprices the unfinished fraction of every running
+/// task on that node (EventQueue cancellation is O(1) amortized), and
+/// meters the modeled rack draw incrementally so the cap invariant —
+/// draw never exceeds cap_w at any event timestamp — is enforced at
+/// every draw-changing event, not just at control ticks. Only
+/// constructed when PowerPlanSpec::active(): the default path
+/// schedules zero extra events and stays byte-identical.
+class PowerRuntime {
+ public:
+  PowerRuntime(sim::Simulation& sim, const power::PowerPlanSpec& spec,
+               const std::vector<Node>& nodes, Hertz base_freq, const char* where)
+      : sim_(sim), spec_(spec), nodes_(nodes) {
+    require(spec.period_s > 0, std::string(where) + ": power control period must be > 0");
+    if (spec.governor == power::GovernorKind::kOndemand) {
+      require(0 < spec.down_threshold && spec.down_threshold < spec.up_threshold &&
+                  spec.up_threshold <= 1.0,
+              std::string(where) + ": need 0 < down_threshold < up_threshold <= 1");
+    }
+    Watts idle_total = 0;
+    Watts max_delta = 0;
+    state_.reserve(nodes.size());
+    for (const Node& n : nodes) {
+      NodeState s(*n.server);
+      s.base_level = s.table->level_of(base_freq);
+      switch (spec.governor) {
+        case power::GovernorKind::kPerformance: s.level = s.table->levels() - 1; break;
+        case power::GovernorKind::kPowersave: s.level = 0; break;
+        default: s.level = s.base_level; break;  // kNone (cap only), kOndemand
+      }
+      s.plan = power::FreqPlan::constant(s.table->level_freq(s.level));
+      idle_total += n.server->power.system_idle_w;
+      Hertz fmin = s.table->level_freq(0);
+      max_delta = std::max(max_delta, s.model.node_draw(1, fmin) - s.model.node_draw(0, fmin));
+      state_.push_back(std::move(s));
+    }
+    if (spec.rack_cap_w > 0) {
+      // Liveness: with the whole rack idle at the bottom level the cap
+      // must still admit one task somewhere, or pending work could
+      // deadlock with nothing running to re-trigger dispatch.
+      require(spec.rack_cap_w >= idle_total + max_delta,
+              std::string(where) +
+                  ": rack_cap_w is below the rack idle floor plus one bottom-level task — "
+                  "no task could ever be admitted");
+    }
+    meter();
+  }
+
+  /// Wires the control loop: `more_work` keeps it alive (a tick that
+  /// sees no more work does not reschedule, letting the queue drain);
+  /// `after_tick` re-runs dispatch, since a tick can free capped
+  /// capacity (level lowering under ondemand/powersave, headroom
+  /// recovery toward the base level under a cap).
+  void begin(std::function<bool()> more_work, std::function<void()> after_tick) {
+    more_work_ = std::move(more_work);
+    after_tick_ = std::move(after_tick);
+    sim_.in(spec_.period_s, [this] { tick(); });
+  }
+
+  /// Cap admission gate for one more task on `flat`: throttles the
+  /// node down DVFS levels until the post-admission draw fits under
+  /// the cap; false (defer — the scheduler sees capped capacity) when
+  /// even the bottom level does not fit.
+  bool admit(std::size_t flat) {
+    if (spec_.rack_cap_w <= 0) return true;
+    NodeState& s = state_[flat];
+    auto delta = [&] {
+      int busy = nodes_[flat].slots->in_use();
+      return s.model.node_draw(busy + 1, s.freq()) - s.model.node_draw(busy, s.freq());
+    };
+    while (draw_ + delta() > spec_.rack_cap_w + kCapEps && s.level > 0) {
+      set_level(flat, s.level - 1);
+    }
+    return draw_ + delta() <= spec_.rack_cap_w + kCapEps;
+  }
+
+  /// The power-mode compute channel: registers the leg (so level
+  /// changes can reprice it) and schedules its completion at the
+  /// current level's duration. `dur_at(level)` is the task's full
+  /// compute time at that DVFS level.
+  void start_compute(std::size_t flat, std::function<Seconds(int)> dur_at,
+                     std::function<void()> done) {
+    NodeState& s = state_[flat];
+    Seconds dur = dur_at(s.level);
+    require(dur >= 0, "PowerRuntime: negative compute duration");
+    if (dur <= 0) {  // nothing to reprice; keep the event semantics
+      sim_.in(0, std::move(done));
+      return;
+    }
+    s.legs.emplace_back();
+    auto it = std::prev(s.legs.end());
+    it->dur_at = std::move(dur_at);
+    it->done = std::move(done);
+    it->since = sim_.now();
+    it->cur_dur = dur;
+    it->fire = [this, flat, it] {
+      auto finished = std::move(it->done);
+      state_[flat].legs.erase(it);
+      finished();
+    };
+    it->ev = sim_.in(dur, it->fire);
+  }
+
+  /// Call after any slot acquire/release: advances the draw integral
+  /// with the old draw, then re-samples.
+  void draw_changed() { meter(); }
+
+  PowerStats finish(Seconds end) {
+    energy_ += draw_ * (end - metered_to_);
+    metered_to_ = end;
+    PowerStats st;
+    st.active = true;
+    st.cap_w = spec_.rack_cap_w;
+    st.metered_energy = energy_;
+    st.peak_draw = peak_;
+    st.cap_exceeded = cap_exceeded_;
+    st.level_changes = level_changes_;
+    st.node_plans.reserve(state_.size());
+    for (const NodeState& s : state_) st.node_plans.push_back(s.plan);
+    return st;
+  }
+
+ private:
+  static constexpr Watts kCapEps = 1e-9;
+
+  struct ComputeLeg {
+    std::function<Seconds(int)> dur_at;  ///< full duration at a DVFS level
+    std::function<void()> done;
+    std::function<void()> fire;  ///< erases the leg, then done()
+    sim::EventId ev = 0;
+    double frac = 0;     ///< fraction completed before `since`
+    Seconds since = 0;   ///< when the current schedule began
+    Seconds cur_dur = 0; ///< full duration at the current level
+  };
+
+  struct NodeState {
+    explicit NodeState(const arch::ServerConfig& server)
+        : table(&server.dvfs),
+          model(server),
+          plan(power::FreqPlan::constant(server.dvfs.max_freq())) {}
+    const arch::DvfsTable* table;
+    power::PowerModel model;
+    power::FreqPlan plan;  ///< realized frequency timeline
+    int level = 0;
+    int base_level = 0;    ///< the static operating point (cap recovery target)
+    double last_busy = 0;  ///< busy-slot-seconds snapshot at the last tick
+    std::list<ComputeLeg> legs;
+    Hertz freq() const { return table->level_freq(level); }
+  };
+
+  Watts draw_now() const {
+    Watts w = 0;
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+      w += state_[i].model.node_draw(nodes_[i].slots->in_use(), state_[i].freq());
+    }
+    return w;
+  }
+
+  void meter() {
+    Seconds now = sim_.now();
+    energy_ += draw_ * (now - metered_to_);
+    metered_to_ = now;
+    draw_ = draw_now();
+    peak_ = std::max(peak_, draw_);
+    if (spec_.rack_cap_w > 0 && draw_ > spec_.rack_cap_w + kCapEps) cap_exceeded_ = true;
+  }
+
+  void set_level(std::size_t flat, int level) {
+    NodeState& s = state_[flat];
+    if (level == s.level) return;
+    s.level = level;
+    s.plan.append(sim_.now(), s.freq());
+    ++level_changes_;
+    reprice(flat);
+    meter();
+  }
+
+  /// Mid-flight repricing: every running compute leg on the node
+  /// carries its completed fraction across the level change and the
+  /// remainder is rescheduled at the new level's duration.
+  void reprice(std::size_t flat) {
+    NodeState& s = state_[flat];
+    Seconds now = sim_.now();
+    for (ComputeLeg& leg : s.legs) {
+      if (leg.cur_dur > 0) leg.frac += (now - leg.since) / leg.cur_dur;
+      leg.frac = std::min(leg.frac, 1.0);
+      sim_.cancel(leg.ev);
+      leg.since = now;
+      leg.cur_dur = leg.dur_at(s.level);
+      leg.ev = sim_.in(std::max<Seconds>(0, (1.0 - leg.frac) * leg.cur_dur), leg.fire);
+    }
+  }
+
+  /// Would raising `flat` one level keep the rack under the cap?
+  bool raise_fits(std::size_t flat) const {
+    if (spec_.rack_cap_w <= 0) return true;
+    const NodeState& s = state_[flat];
+    int busy = nodes_[flat].slots->in_use();
+    Watts cur = s.model.node_draw(busy, s.freq());
+    Watts next = s.model.node_draw(busy, s.table->level_freq(s.level + 1));
+    return draw_ - cur + next <= spec_.rack_cap_w + kCapEps;
+  }
+
+  void tick() {
+    if (!more_work_()) return;  // drained: stop ticking so the queue empties
+    Seconds now = sim_.now();
+    Seconds dt = now - last_tick_;
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+      NodeState& s = state_[i];
+      double busy = nodes_[i].slots->busy_slot_seconds(now);
+      double util = dt > 0 ? (busy - s.last_busy) /
+                                 (static_cast<double>(nodes_[i].slots->slots()) * dt)
+                           : 0.0;
+      s.last_busy = busy;
+      int want = spec_.governor == power::GovernorKind::kNone
+                     ? s.base_level  // cap-only: recover toward the static point
+                     : power::govern_level(spec_, s.level, s.table->levels(), util);
+      // Lowering is always cap-safe; each raise must keep the rack
+      // under the cap with its current occupancy.
+      while (s.level > want) set_level(i, s.level - 1);
+      while (s.level < want && raise_fits(i)) set_level(i, s.level + 1);
+    }
+    last_tick_ = now;
+    sim_.in(spec_.period_s, [this] { tick(); });
+    after_tick_();  // a tick can free capped capacity: re-run dispatch
+  }
+
+  sim::Simulation& sim_;
+  const power::PowerPlanSpec spec_;
+  const std::vector<Node>& nodes_;
+  std::vector<NodeState> state_;
+  std::function<bool()> more_work_;
+  std::function<void()> after_tick_;
+  Watts draw_ = 0;
+  Watts peak_ = 0;
+  Joules energy_ = 0;
+  Seconds metered_to_ = 0;
+  Seconds last_tick_ = 0;
+  bool cap_exceeded_ = false;
+  int level_changes_ = 0;
+};
+
+}  // namespace bvl::core::replay

@@ -1,0 +1,290 @@
+#include "core/replay/replay.hpp"
+
+#include <algorithm>
+#include <cmath>
+
+#include "util/error.hpp"
+#include "util/thread_pool.hpp"
+
+namespace bvl::core::replay {
+
+namespace {
+
+/// Estimated duration of task `t` once started on `n` after `delay`:
+/// compute in parallel with whatever device backlog will remain at
+/// that start time, plus the serial tail.
+Seconds est_task_duration(const perf::SimTask& t, const Node& n, Seconds now, Seconds delay) {
+  Seconds start = now + delay;
+  Seconds disk_delay = std::max<Seconds>(0, n.disk->free_at() - start);
+  Seconds nic_delay = std::max<Seconds>(0, n.nic_est->free_at() - start);
+  return std::max({t.cpu_s, disk_delay + t.disk_svc_s, nic_delay + t.nic_svc_s}) + t.serial_s +
+         t.backoff_s;
+}
+
+}  // namespace
+
+void validate(const MixOptions& opts, const char* where) {
+  const std::string w(where);
+  require(opts.reduce_slowstart > 0 && opts.reduce_slowstart <= 1.0,
+          w + ": reduce_slowstart must be in (0, 1]");
+  require(opts.slots_per_node >= 0, w + ": slots_per_node must be >= 0 (0 = derive)");
+  // Written so NaN fails too: a negative or NaN cap would otherwise
+  // read as "uncapped" (PowerPlanSpec::active() and admit() both test
+  // rack_cap_w > 0) and silently disable the cap.
+  require(opts.power.rack_cap_w >= 0, w + ": rack_cap_w must be >= 0 (0 = uncapped)");
+}
+
+placement::Candidate Candidates::make(std::size_t flat) const {
+  const Node& n = replay_.nodes[flat];
+  return {flat, replay_.is_big[flat], n.has_free_slot(), replay_.rack_of[flat],
+          replay_.est_finish(*cur_, n)};
+}
+
+Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
+               const std::vector<JobRequest>& specs, const MixOptions& opts, MixPolicy policy,
+               int exec_threads, const char* where)
+    : where_(where), slowstart_(opts.reduce_slowstart) {
+  validate(opts, where);
+
+  // ---- Expand the rack: distinct type table + flat node list ----
+  for (const auto& spec : rack) {
+    require(spec.count >= 1, where_ + ": node count must be >= 1");
+    int type_id = -1;
+    for (std::size_t t = 0; t < types.size(); ++t) {
+      if (types[t]->name == spec.server.name) type_id = static_cast<int>(t);
+    }
+    if (type_id < 0) {
+      type_id = static_cast<int>(types.size());
+      types.push_back(&spec.server);
+    }
+    for (int i = 0; i < spec.count; ++i) {
+      Node n;
+      n.server = &spec.server;
+      n.type_id = type_id;
+      n.index = i;
+      n.slots = std::make_unique<sim::SlotPool>(sim, task_slots_for(spec.server, opts));
+      n.disk = std::make_unique<sim::ServiceQueue>(sim);
+      n.nic = std::make_unique<sim::ServiceQueue>(sim);
+      n.nic_est = n.nic.get();
+      nodes.push_back(std::move(n));
+    }
+  }
+  require(!nodes.empty(), where_ + ": empty rack");
+  const std::string big = arch::xeon_e5_2420().name;
+  for (const Node& n : nodes) is_big.push_back(n.server->name == big);
+  rack_of.assign(nodes.size(), 0);
+
+  // The modeled fabric, unless opts asks for the infinite-fabric
+  // default. An empty topology means one rack spanning every node; an
+  // explicit one must match the flat node order.
+  if (opts.fabric.modeled) {
+    sim::Topology topo = opts.fabric.topology;
+    if (topo.rack_of.empty()) topo = sim::Topology::single_rack(static_cast<int>(nodes.size()));
+    require(topo.nodes() == static_cast<int>(nodes.size()),
+            where_ + ": fabric topology node count != rack node count");
+    const sim::NicPreset& preset = sim::nic_preset(opts.fabric.nic_preset);
+    preset.validate();
+    std::vector<double> rates;
+    rates.reserve(nodes.size());
+    for (const Node& n : nodes) {
+      rates.push_back(
+          preset.endpoint_bytes_per_s(ch.cluster_config().net_mbps, n.server->network_efficiency));
+    }
+    fabric = std::make_unique<sim::Fabric>(sim, std::move(topo), std::move(rates));
+    router_ = std::make_unique<sim::FlowRouter>(*fabric);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      nodes[i].nic_est = &fabric->ingress(static_cast<int>(i));
+      rack_of[i] = fabric->rack_of(static_cast<int>(i));
+    }
+  }
+  if (opts.power.active()) {
+    power = std::make_unique<PowerRuntime>(sim, opts.power, nodes, RunSpec{}.freq, where);
+  }
+  policy_ = placement::make_placement_policy(policy, fabric.get());
+
+  // ---- Pre-characterize distinct job specs in parallel ----
+  // The engine runs dominate; the timeline replay only consumes cached
+  // traces. Characterizer::trace is thread-safe.
+  std::vector<RunSpec> distinct;
+  for (const JobRequest& job : specs) {
+    auto key = std::make_pair(static_cast<int>(job.workload), job.input_size);
+    if (!spec_row_.emplace(key, distinct.size()).second) continue;
+    RunSpec spec;
+    spec.workload = job.workload;
+    spec.input_size = job.input_size;
+    distinct.push_back(spec);
+  }
+  parallel_for(exec_threads, distinct.size(), [&](std::size_t i) { ch.trace(distinct[i]); });
+
+  // ---- Render each distinct spec on each node type (and DVFS level) ----
+  for (const RunSpec& spec : distinct) {
+    const mr::JobTrace& trace = ch.trace(spec);
+    row_class_.push_back(classify_workload(ch, spec.workload));
+    for (const arch::ServerConfig* type : types) {
+      const perf::EventPricer& pricer = ch.event_pricer(*type, opts.fabric.nic_preset);
+      const int slots = task_slots_for(*type, opts);
+      std::vector<perf::JobSim>& row = renders_.emplace_back();
+      row.push_back(pricer.job_sim(trace, spec.freq, slots));
+      for (int lvl = 0; power != nullptr && lvl < type->dvfs.levels(); ++lvl) {
+        row.push_back(pricer.job_sim(trace, type->dvfs.level_freq(lvl), slots));
+      }
+    }
+  }
+}
+
+std::size_t Replay::add_job(const JobRequest& req) {
+  Job& job = jobs.emplace_back();
+  job.spec = spec_row_.at({static_cast<int>(req.workload), req.input_size});
+  job.cls = row_class_[job.spec];
+  job.prefers_big = schedule_by_class(job.cls, Goal::edp()).uses_xeon();
+  const perf::JobSim& p = profile(jobs.size() - 1, 0);
+  job.nmaps = static_cast<int>(p.map_tasks.size());
+  for (const perf::SimTask& rt : p.reduce_tasks) job.shuffle_bytes += rt.net_bytes;
+  job.slowstart_after = std::min(
+      job.nmaps, static_cast<int>(std::ceil(slowstart_ * static_cast<double>(job.nmaps))));
+  job.reduces_ready = job.nmaps == 0;
+  job.remaining = job.nmaps + static_cast<int>(p.reduce_tasks.size());
+  return jobs.size() - 1;
+}
+
+TaskRef Replay::task_ref(std::size_t job, int phase, std::size_t task) {
+  return {job, phase, task, rr_counter_++ % nodes.size()};
+}
+
+const perf::JobSim& Replay::profile(std::size_t job, int type) const {
+  return renders_[jobs[job].spec * types.size() + static_cast<std::size_t>(type)].front();
+}
+
+const perf::SimTask& Replay::task(const TaskRef& tr, int type) const {
+  const perf::JobSim& p = profile(tr.job, type);
+  return tr.phase == 0 ? p.map_tasks[tr.task] : p.reduce_tasks[tr.task];
+}
+
+Seconds Replay::est_finish(const TaskRef& tr, const Node& n) const {
+  Seconds delay = n.est_slot_delay(sim.now());
+  return delay + est_task_duration(task(tr, n.type_id), n, sim.now(), delay);
+}
+
+std::size_t Replay::pick(const TaskRef& tr, Candidates& candidates) {
+  const Job& job = jobs[tr.job];
+  placement::TaskContext tc;
+  tc.phase = tr.phase;
+  tc.prefers_big = job.prefers_big;
+  tc.rr_node = tr.rr_node;
+  tc.now = sim.now();
+  tc.net_bytes = task(tr, 0).net_bytes;
+  tc.job_shuffle_bytes = job.shuffle_bytes;
+  tc.job_maps = job.nmaps;
+  tc.maps_by_node = &job.maps_by_node;
+  candidates.bind(tr);
+  return policy_->pick(tc, candidates);
+}
+
+void Replay::start_task(const TaskRef& tr, std::size_t flat) {
+  Node& n = nodes[flat];
+  if (!n.slots->try_acquire()) throw Error(where_ + ": dispatched to a full node");
+  Job& job = jobs[tr.job];
+  const perf::SimTask& t = task(tr, n.type_id);
+  job.first_start = std::min(job.first_start, sim.now());
+  job.tasks_by_type[n.server->name] += 1;
+  if (tr.phase == 0) job.maps_by_node[flat] += 1;
+  n.tasks_run += 1;
+  n.est_ends.insert(sim.now() + est_task_duration(t, n, sim.now(), 0));
+  if (power != nullptr) power->draw_changed();
+
+  // Compute leg: in the node's frequency domain when the power runtime
+  // is on (repriced from the per-level renders on every level change),
+  // else a fixed-frequency delay. Disk and network legs are
+  // frequency-independent.
+  perf::ComputeChannel cpu;
+  if (power != nullptr) {
+    const std::vector<perf::JobSim>* levels =
+        &renders_[job.spec * types.size() + static_cast<std::size_t>(n.type_id)];
+    cpu = [this, flat, levels, phase = tr.phase, i = tr.task](const perf::SimTask&,
+                                                              std::function<void()> done) {
+      power->start_compute(
+          flat,
+          [levels, phase, i](int lvl) {
+            const perf::JobSim& p = (*levels)[1 + static_cast<std::size_t>(lvl)];
+            return (phase == 0 ? p.map_tasks[i] : p.reduce_tasks[i]).cpu_s;
+          },
+          std::move(done));
+    };
+  } else {
+    cpu = [this](const perf::SimTask& task, std::function<void()> done) {
+      sim.in(task.cpu_s, std::move(done));
+    };
+  }
+  // Network leg: the node's own NIC, or the fabric — maps keep their
+  // HDFS traffic node-local, reduces fetch from every node that ran
+  // one of the job's maps, weighted by how many.
+  perf::ShuffleChannel net;
+  if (router_ != nullptr) {
+    net = [this, flat, ji = tr.job, phase = tr.phase](const perf::SimTask& task,
+                                                      std::function<void()> done) {
+      std::vector<std::pair<int, double>> sources;
+      if (phase == 1) {
+        const std::map<std::size_t, int>& maps = jobs[ji].maps_by_node;
+        sources.reserve(maps.size());
+        for (const auto& [f, c] : maps) {
+          sources.emplace_back(static_cast<int>(f), static_cast<double>(c));
+        }
+      }
+      router_->shuffle(static_cast<int>(flat), sources, task.net_bytes, std::move(done));
+    };
+  } else {
+    net = [nic = n.nic.get()](const perf::SimTask& task, std::function<void()> done) {
+      nic->submit(task.nic_svc_s, std::move(done));
+    };
+  }
+  perf::replay_task_on_slot(sim, *n.disk, t, cpu, net,
+                            [this, flat, ji = tr.job, phase = tr.phase, &t] {
+                              task_done(flat, ji, phase, t);
+                            });
+}
+
+void Replay::task_done(std::size_t flat, std::size_t ji, int phase, const perf::SimTask& t) {
+  Node& n = nodes[flat];
+  Job& job = jobs[ji];
+  n.energy += t.energy;
+  job.energy += t.energy;
+  job.last_finish = std::max(job.last_finish, sim.now());
+  --job.remaining;
+  if (phase == 0 && ++job.maps_done >= job.slowstart_after) job.reduces_ready = true;
+  n.est_ends.erase(n.est_ends.begin());
+  n.slots->release();
+  if (power != nullptr) power->draw_changed();
+  on_task_done(ji, phase, flat);
+  dispatch();
+}
+
+int Replay::primary_type(const Job& job) const {
+  int primary = 0;
+  int best_count = -1;
+  for (std::size_t t = 0; t < types.size(); ++t) {
+    auto it = job.tasks_by_type.find(types[t]->name);
+    int count = it == job.tasks_by_type.end() ? 0 : it->second;
+    if (count > best_count) {
+      best_count = count;
+      primary = static_cast<int>(t);
+    }
+  }
+  return primary;
+}
+
+sim::FabricStats Replay::fabric_stats(Seconds window) const {
+  if (fabric == nullptr) return {};
+  sim::FabricStats s = fabric->stats();
+  // spine_busy_s sums over every ECMP link, so full utilization of a
+  // k-link spine integrates to k * window (multiplying by 1.0 keeps
+  // the single-path figure bit-identical to the historical one).
+  const double links = s.spine_links > 0 ? static_cast<double>(s.spine_links) : 1.0;
+  s.spine_utilization = window > 0 ? s.spine_busy_s / (window * links) : 0.0;
+  return s;
+}
+
+PowerStats Replay::power_stats() {
+  return power != nullptr ? power->finish(sim.now()) : PowerStats{};
+}
+
+}  // namespace bvl::core::replay

@@ -228,16 +228,6 @@ Seconds plan_compute_finish(const power::FreqPlan& plan, Seconds start,
   }
 }
 
-void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, sim::ServiceQueue& nic,
-                         const SimTask& t, std::function<void()> on_complete) {
-  replay_task_on_slot(
-      sim, disk, t,
-      [&nic](const SimTask& task, std::function<void()> done) {
-        nic.submit(task.nic_svc_s, std::move(done));
-      },
-      std::move(on_complete));
-}
-
 JobSim EventPricer::job_sim(const mr::JobTrace& trace, Hertz freq, int slots) const {
   require(freq > 0, "EventPricer: non-positive frequency");
   if (slots <= 0) slots = server_.cores;

@@ -171,17 +171,12 @@ std::unique_ptr<Pricer> make_pricer(PricerKind kind, const arch::ServerConfig& s
 using ShuffleChannel = std::function<void(const SimTask&, std::function<void()>)>;
 
 /// Replays one task's demands on an already-held slot: compute starts
-/// now, the disk/NIC demands queue FIFO on the shared devices, and
+/// now, the disk demand queues FIFO on the shared device, the network
+/// demand goes to `net` (a NIC queue, or the fabric hook), and
 /// `on_complete` fires once all three finish plus the serial slice and
-/// any retry backoff. Shared by EventPricer (single node) and
-/// core/cluster_sim (multi-node rack) so a task means the same thing
-/// on both timelines. The caller releases the slot in `on_complete`.
-void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, sim::ServiceQueue& nic,
-                         const SimTask& t, std::function<void()> on_complete);
-
-/// Shuffle-channel variant: identical demand ordering (cpu, then disk,
-/// then network at the same submission point), but the network leg is
-/// delegated to `net` — the fabric hook.
+/// any retry backoff. Shared by EventPricer (single node) and the rack
+/// replay core (core/replay) so a task means the same thing on both
+/// timelines. The caller releases the slot in `on_complete`.
 void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, const SimTask& t,
                          const ShuffleChannel& net, std::function<void()> on_complete);
 
@@ -189,13 +184,13 @@ void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, const Si
 /// the task and a completion callback it must eventually invoke
 /// exactly once. The default channel is `sim.in(t.cpu_s, done)` — a
 /// fixed-frequency delay; the frequency-domain channel (plan pricing
-/// here, the governor/cap runtime in core/cluster_sim) walks segment
+/// here, the governor/cap runtime in core/replay) walks segment
 /// boundaries and rescales the remaining compute instead.
 using ComputeChannel = std::function<void(const SimTask&, std::function<void()>)>;
 
 /// Fully-channeled variant: both the compute and network legs are
 /// delegated, with the same demand ordering as the fixed-frequency
-/// overloads (cpu, disk, network submitted at one instant; serial
+/// overload (cpu, disk, network submitted at one instant; serial
 /// tail + backoff after all three).
 void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, const SimTask& t,
                          const ComputeChannel& cpu, const ShuffleChannel& net,

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace bvl::core {
@@ -223,6 +225,33 @@ TEST(ClusterSim, EdxpAndValidation) {
   EXPECT_THROW(simulate_mix(shared_ch(), {}, {}, MixPolicy::kRoundRobin), Error);
   EXPECT_THROW(comparison_racks(1), Error);
   EXPECT_EQ(to_string(MixPolicy::kClassAware), "class-aware");
+}
+
+TEST(ClusterSim, BothReplaysRejectBadMixOptions) {
+  // One validator guards both replays. A negative slot count used to
+  // fall through to the default (task_slots_for treats <= 0 as
+  // "derive"); it is now an error like an out-of-range slowstart.
+  auto rack = comparison_racks(2)[2];
+  TenantWorkload t;
+  t.tenant = {"batch", 1.0, 0, 1.0};
+  t.mix = {{wl::WorkloadId::kGrep, 1 * GB}};
+  auto bad_options = [] {
+    std::vector<MixOptions> bad(4);
+    bad[0].slots_per_node = -1;
+    bad[1].reduce_slowstart = 0.0;
+    bad[2].reduce_slowstart = 1.5;
+    bad[3].reduce_slowstart = std::numeric_limits<double>::quiet_NaN();
+    return bad;
+  };
+  for (const MixOptions& opts : bad_options()) {
+    EXPECT_THROW(simulate_mix(shared_ch(), {{wl::WorkloadId::kGrep, 1 * GB}}, rack,
+                              MixPolicy::kClassAware, 0, opts),
+                 Error);
+    ServiceOptions service;
+    service.horizon = 600.0;
+    service.mix = opts;
+    EXPECT_THROW(simulate_service(shared_ch(), {t}, rack, service), Error);
+  }
 }
 
 }  // namespace

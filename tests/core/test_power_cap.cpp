@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -120,6 +121,29 @@ TEST(PowerCap, StarvingCapIsRejectedUpFront) {
   power::PowerPlanSpec spec;
   spec.rack_cap_w = 1.0;  // one watt: below any rack's idle floor
   EXPECT_THROW(run_power(rack, spec), Error);
+}
+
+TEST(PowerCap, NegativeOrNaNCapIsRejectedNotIgnored) {
+  // The runtime reads rack_cap_w <= 0 as "uncapped" (active() is false
+  // without a governor; admit() waves everything through with one), so
+  // a negative or NaN budget would silently disable the cap. Both
+  // replays reject it up front instead, with or without a governor.
+  auto rack = comparison_racks(4)[2];
+  TenantWorkload t;
+  t.tenant = {"batch", 1.0, 0, 1.0};
+  t.mix = {{wl::WorkloadId::kGrep, 1 * GB}};
+  for (double bad : {-100.0, std::numeric_limits<double>::quiet_NaN()}) {
+    for (auto governor : {power::GovernorKind::kNone, power::GovernorKind::kOndemand}) {
+      power::PowerPlanSpec spec;
+      spec.governor = governor;
+      spec.rack_cap_w = bad;
+      EXPECT_THROW(run_power(rack, spec), Error);
+      ServiceOptions opts;
+      opts.horizon = 600.0;
+      opts.mix.power = spec;
+      EXPECT_THROW(simulate_service(shared_ch(), {t}, rack, opts), Error);
+    }
+  }
 }
 
 TEST(PowerCap, PinnedGovernorsRealizeTheirLevels) {
