@@ -48,9 +48,10 @@ class CharCache {
   /// Current payload layout version. Bump whenever JobTrace /
   /// JobConfig / WorkCounters gain, lose or reorder serialized fields
   /// — or the key schema changes (v2: the governor/cap plan joined
-  /// the disk key; v3: the NIC preset and placement policy joined
-  /// it); old files are then rejected and transparently regenerated.
-  static constexpr std::uint32_t kFormatVersion = 3;
+  /// the disk key; v3: the NIC preset and placement policy joined it;
+  /// v4: all three left again, the key is the engine inputs only);
+  /// old files are then rejected and transparently regenerated.
+  static constexpr std::uint32_t kFormatVersion = 4;
 
   /// `dir` must already exist (Characterizer::set_cache_dir creates
   /// it); a non-directory or unwritable path degrades to a cache that

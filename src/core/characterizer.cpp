@@ -16,9 +16,7 @@ Characterizer::Characterizer(hdfs::DfsConfig dfs, perf::ClusterConfig cluster,
 
 Characterizer::Key Characterizer::key_of(const RunSpec& spec) const {
   return {static_cast<int>(spec.workload), spec.input_size, spec.block_size, spec.num_reducers,
-          spec.use_combiner, spec.fault.active() ? spec.fault.cache_key() : 0,
-          spec.power.active() ? spec.power.cache_key() : 0, static_cast<int>(spec.nic),
-          static_cast<int>(spec.placement)};
+          spec.use_combiner, spec.fault.active() ? spec.fault.cache_key() : 0};
 }
 
 std::string Characterizer::disk_key(const RunSpec& spec) const {
@@ -28,15 +26,12 @@ std::string Characterizer::disk_key(const RunSpec& spec) const {
   // is embedded verbatim in the cache file as the collision guard.
   char buf[224];
   std::snprintf(buf, sizeof buf,
-                "wl=%d in=%llu blk=%llu red=%d comb=%d fault=%llu power=%llu nic=%d place=%d "
-                "target=%llu seed=%llu",
+                "wl=%d in=%llu blk=%llu red=%d comb=%d fault=%llu target=%llu seed=%llu",
                 static_cast<int>(spec.workload),
                 static_cast<unsigned long long>(spec.input_size),
                 static_cast<unsigned long long>(spec.block_size), spec.num_reducers,
                 spec.use_combiner ? 1 : 0,
                 static_cast<unsigned long long>(spec.fault.active() ? spec.fault.cache_key() : 0),
-                static_cast<unsigned long long>(spec.power.active() ? spec.power.cache_key() : 0),
-                static_cast<int>(spec.nic), static_cast<int>(spec.placement),
                 static_cast<unsigned long long>(target_exec_),
                 static_cast<unsigned long long>(seed_));
   return buf;

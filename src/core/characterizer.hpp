@@ -13,11 +13,9 @@
 
 #include "arch/server_config.hpp"
 #include "core/char_cache.hpp"
-#include "core/placement/policy.hpp"
 #include "mapreduce/engine.hpp"
 #include "perf/perf_model.hpp"
 #include "perf/pricer.hpp"
-#include "power/governor.hpp"
 #include "sim/network/nic_preset.hpp"
 #include "workloads/registry.hpp"
 
@@ -44,24 +42,6 @@ struct RunSpec {
   /// wasted attempts, wave stretch and backoff are charged on either
   /// server.
   mr::FaultPlan fault;
-
-  /// Governor/cap plan the run is priced under (power/governor.hpp).
-  /// Default-inactive: the spec prices at the static `freq` exactly
-  /// as before. Folded into both cache keys the same way `fault` is —
-  /// two specs differing only in their power plan must never alias
-  /// one cache entry, even though today's engine trace is frequency-
-  /// independent (the plan shapes replay, and future characterization
-  /// layers may consume it).
-  power::PowerPlanSpec power;
-
-  /// NIC preset and placement policy the run is replayed under.
-  /// Neither shapes today's engine trace (like `power`, they live in
-  /// the replay layer), but both are folded into the cache keys the
-  /// same way: two specs differing only in fabric endpoints or in the
-  /// dispatcher placing their tasks must never alias one cache entry,
-  /// and future characterization layers may consume them directly.
-  sim::NicPresetId nic = sim::NicPresetId::k1GbE;
-  MixPolicy placement = MixPolicy::kClassAware;
 };
 
 class Characterizer {
@@ -130,8 +110,10 @@ class Characterizer {
   const perf::ClusterConfig& cluster_config() const { return cluster_; }
 
  private:
-  using Key =
-      std::tuple<int, Bytes, Bytes, int, bool, std::uint64_t, std::uint64_t, int, int>;
+  /// The engine inputs of a spec: exactly the fields that can change
+  /// its trace (workload, input, block size, reducers, combiner, fault
+  /// plan digest).
+  using Key = std::tuple<int, Bytes, Bytes, int, bool, std::uint64_t>;
   Key key_of(const RunSpec& spec) const;
   std::string disk_key(const RunSpec& spec) const;
 

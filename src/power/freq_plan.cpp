@@ -8,25 +8,6 @@
 
 namespace bvl::power {
 
-namespace {
-
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t double_bits(double d) {
-  std::uint64_t b;
-  static_assert(sizeof(b) == sizeof(d));
-  __builtin_memcpy(&b, &d, sizeof(b));
-  return b;
-}
-
-std::uint64_t mix_bits(std::uint64_t h, std::uint64_t v) { return mix64(h ^ v); }
-
-}  // namespace
-
 FreqPlan FreqPlan::constant(Hertz freq) { return FreqPlan({{0.0, freq}}); }
 
 FreqPlan::FreqPlan(std::vector<FreqSegment> segments) {
@@ -86,15 +67,6 @@ void FreqPlan::append(Seconds start, Hertz freq) {
   }
   if (segments_.back().freq == freq) return;  // no-op transition
   segments_.push_back({start, freq});
-}
-
-std::uint64_t FreqPlan::cache_key() const {
-  std::uint64_t h = mix64(0x66726571706c616eULL);  // "freqplan"
-  for (const FreqSegment& s : segments_) {
-    h = mix_bits(h, double_bits(s.start));
-    h = mix_bits(h, double_bits(s.freq));
-  }
-  return h;
 }
 
 std::string FreqPlan::label() const {

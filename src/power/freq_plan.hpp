@@ -7,7 +7,7 @@
 // timeline — ordered (start_time, freq) segments, the first at t=0,
 // each active until the next begins — produced either up front (an
 // open-loop schedule handed to the event pricer) or incrementally by
-// the DVFS governors and the rack power-cap loop in core/cluster_sim,
+// the DVFS governors and the rack power-cap loop in core/replay,
 // which append a segment every time they move a node between levels.
 //
 // The degenerate single-segment plan IS the paper's static knob:
@@ -17,7 +17,6 @@
 // the old model, not a reinterpretation of it.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -66,9 +65,6 @@ class FreqPlan {
   /// how the governors and the cap loop grow a node's recorded
   /// timeline during a replay.
   void append(Seconds start, Hertz freq);
-
-  /// Stable digest over every segment, for trace/figure cache keys.
-  std::uint64_t cache_key() const;
 
   /// "1.8GHz" for a single-segment plan, "1.8GHz(+3seg)" otherwise.
   std::string label() const;

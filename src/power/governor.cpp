@@ -6,25 +6,6 @@
 
 namespace bvl::power {
 
-namespace {
-
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t double_bits(double d) {
-  std::uint64_t b;
-  static_assert(sizeof(b) == sizeof(d));
-  __builtin_memcpy(&b, &d, sizeof(b));
-  return b;
-}
-
-std::uint64_t mix_bits(std::uint64_t h, std::uint64_t v) { return mix64(h ^ v); }
-
-}  // namespace
-
 std::string to_string(GovernorKind g) {
   switch (g) {
     case GovernorKind::kNone: return "none";
@@ -33,16 +14,6 @@ std::string to_string(GovernorKind g) {
     case GovernorKind::kOndemand: return "ondemand";
   }
   throw Error("to_string(GovernorKind): unknown governor");
-}
-
-std::uint64_t PowerPlanSpec::cache_key() const {
-  std::uint64_t h = mix64(0x676f7665726e6f72ULL);  // "governor"
-  h = mix_bits(h, static_cast<std::uint64_t>(governor));
-  h = mix_bits(h, double_bits(rack_cap_w));
-  h = mix_bits(h, double_bits(period_s));
-  h = mix_bits(h, double_bits(up_threshold));
-  h = mix_bits(h, double_bits(down_threshold));
-  return h;
 }
 
 int govern_level(const PowerPlanSpec& spec, int current_level, int nlevels, double utilization) {

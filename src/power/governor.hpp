@@ -17,12 +17,11 @@
 // fits, and a node that cannot fit even at the bottom level simply
 // does not admit new tasks — the scheduler sees capped capacity
 // rather than a model that quietly overdraws. The enforcement loop
-// itself lives in core/cluster_sim (it needs the rack timeline); this
-// header owns the configuration and the governor decision rule so
-// both are unit-testable without a rack.
+// itself lives in core/replay/power_runtime.hpp (it needs the rack
+// timeline); this header owns the configuration and the governor
+// decision rule so both are unit-testable without a rack.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "util/units.hpp"
@@ -38,8 +37,8 @@ enum class GovernorKind {
 
 std::string to_string(GovernorKind g);
 
-/// The governor/cap configuration carried by core::RunSpec and
-/// core::MixOptions/ServiceOptions. Default-inactive: the default
+/// The governor/cap configuration carried by core::MixOptions (and so
+/// by ServiceOptions::mix). Default-inactive: the default
 /// spec leaves every priced surface and golden byte-identical.
 struct PowerPlanSpec {
   GovernorKind governor = GovernorKind::kNone;
@@ -57,11 +56,6 @@ struct PowerPlanSpec {
   /// True when this spec can change any priced result at all. An
   /// inactive spec takes every fast path and leaves goldens alone.
   bool active() const { return governor != GovernorKind::kNone || rack_cap_w > 0; }
-
-  /// Stable digest of every semantically relevant field, for the
-  /// characterizer's in-memory and on-disk cache keys — two distinct
-  /// plans must never alias one cache entry.
-  std::uint64_t cache_key() const;
 };
 
 /// The governor decision rule: the level to request next, given the

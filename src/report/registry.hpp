@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/characterizer.hpp"
+#include "core/placement/policy.hpp"
 #include "report/report.hpp"
 
 namespace bvl::report {

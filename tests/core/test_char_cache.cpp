@@ -135,34 +135,6 @@ TEST_F(CharCacheTest, CacheKeySeparatesSpecsAndEngineSalt) {
   EXPECT_EQ(files, 3u);
 }
 
-TEST_F(CharCacheTest, NicPresetAndPlacementNeverAliasACacheEntry) {
-  // Regression for the v3 key schema: specs that differ only in the
-  // NIC preset or the placement policy are distinct replay contexts
-  // and must hit distinct entries — in memory (distinct trace nodes)
-  // and on disk (distinct files) — even though today's engine trace
-  // is identical across them, exactly like the power plan in v2.
-  Characterizer ch;
-  ch.set_cache_dir(dir());
-  RunSpec spec = small_spec(wl::WorkloadId::kSort);
-  const mr::JobTrace& base = ch.trace(spec);
-
-  RunSpec fast_nic = spec;
-  fast_nic.nic = sim::NicPresetId::k10GbE;
-  RunSpec rack_local = spec;
-  rack_local.placement = MixPolicy::kRackLocal;
-
-  EXPECT_NE(&ch.trace(fast_nic), &base);
-  EXPECT_NE(&ch.trace(rack_local), &base);
-  EXPECT_NE(&ch.trace(fast_nic), &ch.trace(rack_local));
-  // Payloads are bit-identical (the engine never saw the knobs)...
-  expect_trace_identical(ch.trace(fast_nic), base);
-  expect_trace_identical(ch.trace(rack_local), base);
-  // ...but each landed in its own file.
-  std::size_t files = 0;
-  for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir_)) ++files;
-  EXPECT_EQ(files, 3u);
-}
-
 TEST_F(CharCacheTest, CorruptBytesFallBackToSilentRecharacterization) {
   RunSpec spec = small_spec(wl::WorkloadId::kSort);
   Characterizer cold;
