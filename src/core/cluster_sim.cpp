@@ -216,7 +216,9 @@ ServiceResult simulate_service(Characterizer& ch, const std::vector<TenantWorklo
                                int exec_threads) {
   require(!tenants.empty(), "simulate_service: no tenants");
   require(opts.arrival_rate > 0, "simulate_service: arrival_rate must be > 0");
-  require(opts.horizon > 0, "simulate_service: horizon must be > 0");
+  // An infinite horizon would keep the arrival stream open forever.
+  require(std::isfinite(opts.horizon) && opts.horizon > 0,
+          "simulate_service: horizon must be finite and > 0");
   require(opts.warmup >= 0 && opts.warmup < opts.horizon,
           "simulate_service: need 0 <= warmup < horizon");
   double total_share = 0;
@@ -230,6 +232,9 @@ ServiceResult simulate_service(Characterizer& ch, const std::vector<TenantWorklo
     specs.insert(specs.end(), t.mix.begin(), t.mix.end());
   }
   require(total_share > 0, "simulate_service: all arrival shares are zero");
+  // Built before the replay: it rejects a bad rate or diurnal curve
+  // before any job is characterized.
+  sim::ArrivalProcess arrivals_rng(opts.arrival_rate, opts.diurnal, opts.seed);
 
   replay::Replay r(ch, rack, specs, opts.mix, opts.policy, exec_threads, "simulate_service");
   sim::Simulation& sim = r.sim;
@@ -271,7 +276,6 @@ ServiceResult simulate_service(Characterizer& ch, const std::vector<TenantWorklo
   sim::FairShareQueue fsq(std::move(tenant_specs));
   const int ntenants = static_cast<int>(tenants.size());
 
-  sim::ArrivalProcess arrivals_rng(opts.arrival_rate, opts.diurnal, opts.seed);
   // Tenant/mix picks draw from their own stream so adding a tenant
   // never perturbs the arrival *times*, only the assignment.
   Pcg32 pick_rng(opts.seed, 0x74656e616e74ULL);

@@ -190,7 +190,7 @@ void Replay::start_task(const TaskRef& tr, std::size_t flat) {
   if (tr.phase == 0) job.maps_by_node[flat] += 1;
   n.tasks_run += 1;
   n.est_ends.insert(sim.now() + est_task_duration(t, n, sim.now(), 0));
-  if (power != nullptr) power->draw_changed();
+  if (power != nullptr) power->draw_changed(flat);
 
   // Compute leg: in the node's frequency domain when the power runtime
   // is on (repriced from the per-level renders on every level change),
@@ -253,7 +253,7 @@ void Replay::task_done(std::size_t flat, std::size_t ji, int phase, const perf::
   if (phase == 0 && ++job.maps_done >= job.slowstart_after) job.reduces_ready = true;
   n.est_ends.erase(n.est_ends.begin());
   n.slots->release();
-  if (power != nullptr) power->draw_changed();
+  if (power != nullptr) power->draw_changed(flat);
   on_task_done(ji, phase, flat);
   dispatch();
 }

@@ -51,11 +51,8 @@ class KVArena {
 
   /// Appends one record's payload; returns its index entry.
   KVRef append(std::string_view key, std::string_view value) {
-    // Cold branch kept out of require(): the message string must not
-    // be constructed on the per-emit happy path.
-    if ((key.size() | value.size()) > 0xFFFF) {
-      throw Error("KVArena::append: key or value exceeds the 64 KiB record limit");
-    }
+    require((key.size() | value.size()) <= 0xFFFF,
+            "KVArena::append: key or value exceeds the 64 KiB record limit");
     KVRef ref;
     ref.key_off = static_cast<std::uint32_t>(size_);
     ref.key_len = static_cast<std::uint16_t>(key.size());

@@ -124,7 +124,8 @@ std::map<std::string, WorkloadCalibration> build_table() {
 const WorkloadCalibration& calibration_for(const std::string& workload) {
   static const std::map<std::string, WorkloadCalibration> table = build_table();
   auto it = table.find(workload);
-  require(it != table.end(), "calibration_for: unknown workload '" + workload + "'");
+  // Called on every pricing: the message is built only on a miss.
+  if (it == table.end()) throw Error("calibration_for: unknown workload '" + workload + "'");
   return it->second;
 }
 

@@ -14,10 +14,14 @@ double DiurnalCurve::factor(Seconds t) const {
 
 ArrivalProcess::ArrivalProcess(double base_rate, DiurnalCurve curve, std::uint64_t seed)
     : base_rate_(base_rate), curve_(curve), rng_(seed, /*stream=*/0x61727276ULL) {
-  require(base_rate > 0, "ArrivalProcess: base rate must be positive");
+  // An infinite rate or a non-finite peak_at makes every acceptance
+  // ratio NaN, and thinning would never accept an arrival.
+  require(std::isfinite(base_rate) && base_rate > 0,
+          "ArrivalProcess: base rate must be finite and positive");
   require(curve.amplitude >= 0 && curve.amplitude <= 1,
           "ArrivalProcess: diurnal amplitude must be in [0, 1]");
   require(curve.period > 0, "ArrivalProcess: diurnal period must be positive");
+  require(std::isfinite(curve.peak_at), "ArrivalProcess: diurnal peak_at must be finite");
 }
 
 Seconds ArrivalProcess::next_after(Seconds t) {
