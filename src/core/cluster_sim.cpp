@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
@@ -21,19 +22,12 @@ namespace {
 using replay::Node;
 using replay::TaskRef;
 
-/// Batch-replay candidate source: every node in flat order, the
-/// historical full-scan order the goldens pin (placement ties break
-/// to the first candidate).
-class FlatCandidateSource final : public replay::Candidates {
- public:
-  using Candidates::Candidates;
-
-  const std::vector<placement::Candidate>& all() override {
-    scratch_.clear();
-    scratch_.reserve(replay_.nodes.size());
-    for (std::size_t i = 0; i < replay_.nodes.size(); ++i) scratch_.push_back(make(i));
-    return scratch_;
-  }
+/// A batch task awaiting dispatch, stamped with the instant and replay
+/// epoch of its last deferral.
+struct PendingTask {
+  TaskRef tr;
+  Seconds deferred_at = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t deferred_epoch = 0;
 };
 
 }  // namespace
@@ -51,13 +45,13 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
   replay::Replay r(ch, rack, jobs, opts, policy, exec_threads, "simulate_mix");
 
   // ---- Jobs + the task queue (job order, maps before reduces) ----
-  std::vector<TaskRef> pending;
+  std::vector<PendingTask> pending;
   for (const JobRequest& job : jobs) {
     std::size_t j = r.add_job(job);
     const perf::JobSim& p = r.profile(j, 0);
-    for (std::size_t i = 0; i < p.map_tasks.size(); ++i) pending.push_back(r.task_ref(j, 0, i));
+    for (std::size_t i = 0; i < p.map_tasks.size(); ++i) pending.push_back({r.task_ref(j, 0, i)});
     for (std::size_t i = 0; i < p.reduce_tasks.size(); ++i) {
-      pending.push_back(r.task_ref(j, 1, i));
+      pending.push_back({r.task_ref(j, 1, i)});
     }
   }
   /// Per job: tasks by flat node id, for the schedule's node_index.
@@ -68,8 +62,10 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
   // scan order, so ties land on the same node the inline code chose).
   // kNoNode = nothing suitable free; a full pick = defer the task
   // until a completion re-runs dispatch (safe: a full node implies a
-  // running task whose completion re-enters the dispatcher).
-  FlatCandidateSource candidates(r);
+  // running task whose completion re-enters the dispatcher). A deferred
+  // task is not re-scored until the clock or the replay epoch moves:
+  // pick() and admit() read nothing else, so they would defer it again.
+  replay::FlatCandidateSource candidates(r);
   int tasks_left = static_cast<int>(pending.size());
   r.on_task_done = [&](std::size_t, int, std::size_t) { --tasks_left; };
   r.dispatch = [&] {
@@ -77,20 +73,23 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
     while (progress) {
       progress = false;
       for (auto it = pending.begin(); it != pending.end();) {
-        if (it->phase == 1 && !r.jobs[it->job].reduces_ready) {
+        if ((it->tr.phase == 1 && !r.jobs[it->tr.job].reduces_ready) ||
+            (it->deferred_at == r.sim.now() && it->deferred_epoch == r.epoch())) {
           ++it;
           continue;
         }
-        std::size_t flat = r.pick(*it, candidates);
+        std::size_t flat = r.pick(it->tr, candidates);
         if (flat == placement::kNoNode || !r.nodes[flat].has_free_slot() || !r.admit(flat)) {
           // Nothing suitable, the best choice is a full node worth
           // waiting for (ETF), or the cap defers admission: leave the
           // task pending; the next task completion (or control tick)
           // re-runs dispatch.
+          it->deferred_at = r.sim.now();
+          it->deferred_epoch = r.epoch();
           ++it;
           continue;
         }
-        TaskRef tr = *it;
+        TaskRef tr = it->tr;
         it = pending.erase(it);
         tasks_by_node[tr.job][flat] += 1;
         r.start_task(tr, flat);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <iterator>
 #include <list>
@@ -34,7 +35,10 @@ class PowerRuntime {
   PowerRuntime(sim::Simulation& sim, const power::PowerPlanSpec& spec,
                const std::vector<Node>& nodes, Hertz base_freq, const char* where)
       : sim_(sim), spec_(spec), nodes_(nodes) {
-    require(spec.period_s > 0, std::string(where) + ": power control period must be > 0");
+    // An infinite period would put the last tick, and with it the
+    // replay's clock, at t = inf.
+    require(std::isfinite(spec.period_s) && spec.period_s > 0,
+            std::string(where) + ": power control period must be finite and > 0");
     if (spec.governor == power::GovernorKind::kOndemand) {
       require(0 < spec.down_threshold && spec.down_threshold < spec.up_threshold &&
                   spec.up_threshold <= 1.0,
@@ -137,6 +141,8 @@ class PowerRuntime {
   Watts draw() const { return draw_; }
   /// `flat`'s current DVFS level.
   int level(std::size_t flat) const { return state_[flat].level; }
+  /// DVFS transitions so far, across all nodes.
+  int level_changes() const { return level_changes_; }
 
   PowerStats finish(Seconds end) {
     energy_ += draw_ * (end - metered_to_);

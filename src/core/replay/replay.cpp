@@ -8,21 +8,6 @@
 
 namespace bvl::core::replay {
 
-namespace {
-
-/// Estimated duration of task `t` once started on `n` after `delay`:
-/// compute in parallel with whatever device backlog will remain at
-/// that start time, plus the serial tail.
-Seconds est_task_duration(const perf::SimTask& t, const Node& n, Seconds now, Seconds delay) {
-  Seconds start = now + delay;
-  Seconds disk_delay = std::max<Seconds>(0, n.disk->free_at() - start);
-  Seconds nic_delay = std::max<Seconds>(0, n.nic_est->free_at() - start);
-  return std::max({t.cpu_s, disk_delay + t.disk_svc_s, nic_delay + t.nic_svc_s}) + t.serial_s +
-         t.backoff_s;
-}
-
-}  // namespace
-
 void validate(const MixOptions& opts, const char* where) {
   const std::string w(where);
   require(opts.reduce_slowstart > 0 && opts.reduce_slowstart <= 1.0,
@@ -35,9 +20,12 @@ void validate(const MixOptions& opts, const char* where) {
 }
 
 placement::Candidate Candidates::make(std::size_t flat) const {
-  const Node& n = replay_.nodes[flat];
-  return {flat, replay_.is_big[flat], n.has_free_slot(), replay_.rack_of[flat],
-          replay_.est_finish(*cur_, n)};
+  const EtfTerms& e = replay_.etf(flat);
+  return {flat, replay_.is_big[flat], e.free, replay_.rack_of[flat], e.est_finish(task_on(flat))};
+}
+
+void Candidates::bind(const TaskRef& tr) {
+  for (std::size_t t = 0; t < task_.size(); ++t) task_[t] = &replay_.task(tr, static_cast<int>(t));
 }
 
 Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
@@ -70,6 +58,7 @@ Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
     }
   }
   require(!nodes.empty(), where_ + ": empty rack");
+  etf_.resize(nodes.size());
   const std::string big = arch::xeon_e5_2420().name;
   for (const Node& n : nodes) is_big.push_back(n.server->name == big);
   rack_of.assign(nodes.size(), 0);
@@ -160,9 +149,15 @@ const perf::SimTask& Replay::task(const TaskRef& tr, int type) const {
   return tr.phase == 0 ? p.map_tasks[tr.task] : p.reduce_tasks[tr.task];
 }
 
-Seconds Replay::est_finish(const TaskRef& tr, const Node& n) const {
-  Seconds delay = n.est_slot_delay(sim.now());
-  return delay + est_task_duration(task(tr, n.type_id), n, sim.now(), delay);
+void Replay::refresh_etf(std::size_t flat) const {
+  const Node& n = nodes[flat];
+  EtfTerms& e = etf_[flat];
+  e.at = sim.now();
+  e.free = n.has_free_slot();
+  e.delay = n.est_slot_delay(e.at);
+  const Seconds start = e.at + e.delay;
+  e.disk_delay = std::max<Seconds>(0, n.disk->free_at() - start);
+  e.nic_delay = std::max<Seconds>(0, n.nic_est->free_at() - start);
 }
 
 std::size_t Replay::pick(const TaskRef& tr, Candidates& candidates) {
@@ -182,14 +177,16 @@ std::size_t Replay::pick(const TaskRef& tr, Candidates& candidates) {
 
 void Replay::start_task(const TaskRef& tr, std::size_t flat) {
   Node& n = nodes[flat];
+  const perf::SimTask& t = task(tr, n.type_id);
+  // Read while the slot is still free, so the estimate has no wait term.
+  const Seconds est_end = sim.now() + etf(flat).est_finish(t);
   if (!n.slots->try_acquire()) throw Error(where_ + ": dispatched to a full node");
   Job& job = jobs[tr.job];
-  const perf::SimTask& t = task(tr, n.type_id);
   job.first_start = std::min(job.first_start, sim.now());
   job.tasks_by_type[n.server->name] += 1;
   if (tr.phase == 0) job.maps_by_node[flat] += 1;
   n.tasks_run += 1;
-  n.est_ends.insert(sim.now() + est_task_duration(t, n, sim.now(), 0));
+  n.est_ends.insert(est_end);
   if (power != nullptr) power->draw_changed(flat);
 
   // Compute leg: in the node's frequency domain when the power runtime
@@ -241,6 +238,8 @@ void Replay::start_task(const TaskRef& tr, std::size_t flat) {
                             [this, flat, ji = tr.job, phase = tr.phase, &t] {
                               task_done(flat, ji, phase, t);
                             });
+  invalidate_etf(flat);
+  ++events_;
 }
 
 void Replay::task_done(std::size_t flat, std::size_t ji, int phase, const perf::SimTask& t) {
@@ -253,6 +252,10 @@ void Replay::task_done(std::size_t flat, std::size_t ji, int phase, const perf::
   if (phase == 0 && ++job.maps_done >= job.slowstart_after) job.reduces_ready = true;
   n.est_ends.erase(n.est_ends.begin());
   n.slots->release();
+  // Two completions can share a timestamp: the terms read by the first
+  // one's dispatch are stale for this node now.
+  invalidate_etf(flat);
+  ++events_;
   if (power != nullptr) power->draw_changed(flat);
   on_task_done(ji, phase, flat);
   dispatch();

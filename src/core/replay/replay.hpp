@@ -7,6 +7,8 @@
 // earlier jobs' tasks are in flight.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
@@ -47,24 +49,45 @@ struct Job {
   double shuffle_bytes = 0;
 };
 
+/// The task-independent part of one node's ETF estimate at one
+/// instant: how long a task would wait for a slot, and the disk and
+/// NIC backlog it would still find once started.
+struct EtfTerms {
+  Seconds at = std::numeric_limits<double>::quiet_NaN();  ///< computed at; NaN = stale
+  Seconds delay = 0;       ///< wait for the earliest slot (0 with one free)
+  Seconds disk_delay = 0;  ///< disk backlog left at now + delay
+  Seconds nic_delay = 0;   ///< NIC (or fabric ingress) backlog left at now + delay
+  bool free = false;       ///< a slot is free now
+
+  /// Estimated completion of `t` on this node: the slot wait, then
+  /// compute in parallel with the remaining device backlogs, then the
+  /// serial tail.
+  Seconds est_finish(const perf::SimTask& t) const {
+    return delay + (std::max({t.cpu_s, disk_delay + t.disk_svc_s, nic_delay + t.nic_svc_s}) +
+                    t.serial_s + t.backoff_s);
+  }
+};
+
 class Replay;
 
-/// The replay's nodes as placement candidates, each scored by the ETF
-/// estimate both replays share (Replay::est_finish). A driver's
-/// subclass supplies all() in its historical scan order (placement
-/// ties break to the first candidate).
+/// The replay's nodes as placement candidates, each scored from its
+/// cached ETF terms (Replay::etf). A driver's subclass supplies all()
+/// in its historical scan order (placement ties break to the first
+/// candidate).
 class Candidates : public placement::CandidateSource {
  public:
-  explicit Candidates(const Replay& replay) : replay_(replay) {}
+  explicit Candidates(const Replay& replay);
   /// Sets the task the next all()/at() calls score.
-  void bind(const TaskRef& tr) { cur_ = &tr; }
+  void bind(const TaskRef& tr);
   placement::Candidate at(std::size_t flat) override { return make(flat); }
 
  protected:
   placement::Candidate make(std::size_t flat) const;
+  /// The bound task as rendered for `flat`'s node type.
+  const perf::SimTask& task_on(std::size_t flat) const;
 
   const Replay& replay_;
-  const TaskRef* cur_ = nullptr;
+  std::vector<const perf::SimTask*> task_;  ///< the bound task, per node type
   std::vector<placement::Candidate> scratch_;
 };
 
@@ -105,11 +128,23 @@ class Replay {
   const perf::JobSim& profile(std::size_t job, int type) const;
   const perf::SimTask& task(const TaskRef& tr, int type) const;
 
-  /// ETF signal: estimated completion of `tr` on `n`, counting the
-  /// wait for `n`'s earliest slot when the node is full. Lets the
-  /// dispatcher keep a task *pending* for a fast node about to free
-  /// rather than strand it on a slow free one.
-  Seconds est_finish(const TaskRef& tr, const Node& n) const;
+  /// `flat`'s ETF terms at sim.now(), recomputed when first read at a
+  /// new instant or after the node's own start_task or task_done. The
+  /// ETF signal counts the wait for a full node's earliest slot, which
+  /// lets the dispatcher keep a task *pending* for a fast node about to
+  /// free rather than strand it on a slow free one.
+  const EtfTerms& etf(std::size_t flat) const {
+    const EtfTerms& e = etf_[flat];
+    if (e.at != sim.now()) refresh_etf(flat);
+    return e;
+  }
+  /// Advances on every start_task, every task_done and every power
+  /// level change: at one instant, nothing else changes what pick()
+  /// and admit() read, so a task deferred at the same (now, epoch)
+  /// would be deferred again.
+  std::uint64_t epoch() const {
+    return events_ + (power != nullptr ? static_cast<std::uint64_t>(power->level_changes()) : 0);
+  }
   /// The placement policy's node for `tr` among `candidates`, or
   /// placement::kNoNode to defer. May name a full node: the ETF
   /// "worth waiting for" signal, on which the driver defers too.
@@ -131,6 +166,16 @@ class Replay {
 
  private:
   void task_done(std::size_t flat, std::size_t job, int phase, const perf::SimTask& t);
+  void refresh_etf(std::size_t flat) const;
+  /// Marks `flat`'s ETF terms stale. Besides the clock, only the
+  /// node's own start_task (slot, end estimate, disk and NIC or fabric
+  /// submissions) and task_done (estimate, slot) change their inputs:
+  /// Fabric::send claims every link of a flow, the destination ingress
+  /// included, at send time, and only a task starting on a node sends
+  /// to its ingress.
+  void invalidate_etf(std::size_t flat) {
+    etf_[flat].at = std::numeric_limits<double>::quiet_NaN();
+  }
 
   std::string where_;
   double slowstart_;
@@ -145,6 +190,39 @@ class Replay {
   std::vector<AppClass> row_class_;
   std::vector<std::vector<perf::JobSim>> renders_;
   std::size_t rr_counter_ = 0;
+  mutable std::vector<EtfTerms> etf_;  ///< per node, refreshed lazily
+  std::uint64_t events_ = 0;           ///< task starts and completions
+};
+
+inline Candidates::Candidates(const Replay& replay)
+    : replay_(replay), task_(replay.types.size(), nullptr) {}
+
+inline const perf::SimTask& Candidates::task_on(std::size_t flat) const {
+  return *task_[static_cast<std::size_t>(replay_.nodes[flat].type_id)];
+}
+
+/// Batch-replay candidate source: every node in flat order, the
+/// historical full-scan order the goldens pin (placement ties break to
+/// the first candidate). The candidate vector lives across picks: the
+/// static fields are written once, and each all() rewrites only `free`
+/// and `est_finish`.
+class FlatCandidateSource final : public Candidates {
+ public:
+  explicit FlatCandidateSource(const Replay& replay) : Candidates(replay) {
+    scratch_.reserve(replay.nodes.size());
+    for (std::size_t i = 0; i < replay.nodes.size(); ++i) {
+      scratch_.push_back({i, replay.is_big[i], false, replay.rack_of[i], 0});
+    }
+  }
+
+  const std::vector<placement::Candidate>& all() override {
+    for (placement::Candidate& c : scratch_) {
+      const EtfTerms& e = replay_.etf(c.flat);
+      c.free = e.free;
+      c.est_finish = e.est_finish(task_on(c.flat));
+    }
+    return scratch_;
+  }
 };
 
 }  // namespace bvl::core::replay

@@ -236,11 +236,15 @@ TEST(ClusterSim, BothReplaysRejectBadMixOptions) {
   t.tenant = {"batch", 1.0, 0, 1.0};
   t.mix = {{wl::WorkloadId::kGrep, 1 * GB}};
   auto bad_options = [] {
-    std::vector<MixOptions> bad(4);
+    std::vector<MixOptions> bad(5);
     bad[0].slots_per_node = -1;
     bad[1].reduce_slowstart = 0.0;
     bad[2].reduce_slowstart = 1.5;
     bad[3].reduce_slowstart = std::numeric_limits<double>::quiet_NaN();
+    // An infinite control period used to pass the > 0 check, fire the
+    // governor's last tick at t = inf and report infinite metered energy.
+    bad[4].power.governor = power::GovernorKind::kOndemand;
+    bad[4].power.period_s = std::numeric_limits<double>::infinity();
     return bad;
   };
   for (const MixOptions& opts : bad_options()) {
