@@ -6,12 +6,12 @@
 // The cache stores *traces*, not priced results, because a JobTrace is
 // machine-independent (trace.hpp): one entry serves every server /
 // frequency / slot-count / pricer combination, which is exactly the
-// in-memory cache's contract. The entry key therefore covers every
-// input that can change trace contents — the RunSpec's engine-level
-// fields, the FaultPlan's cache_key, and the characterizer's engine
-// salt (target execution bytes and seed) — and deliberately excludes
-// the operating point (server, frequency, mappers, pricer kind):
-// including those would only duplicate bit-identical payloads.
+// in-memory cache's contract. The entry key is the in-memory key: the
+// workload plus mr::trace_key of the JobConfig the engine runs, i.e.
+// every input that can change trace contents (exec_threads excluded,
+// inactive fault plans keyed as one). It deliberately excludes the
+// operating point (server, frequency, mappers, pricer kind): including
+// those would only duplicate bit-identical payloads.
 //
 // File format (versioned, endian-stable: every integer is fixed-width
 // little-endian, doubles are their IEEE-754 bit patterns, so a cache
@@ -49,9 +49,10 @@ class CharCache {
   /// JobConfig / WorkCounters gain, lose or reorder serialized fields
   /// — or the key schema changes (v2: the governor/cap plan joined
   /// the disk key; v3: the NIC preset and placement policy joined it;
-  /// v4: all three left again, the key is the engine inputs only);
+  /// v4: all three left again, the key is the engine inputs only;
+  /// v5: the key is mr::trace_key of the engine's JobConfig);
   /// old files are then rejected and transparently regenerated.
-  static constexpr std::uint32_t kFormatVersion = 4;
+  static constexpr std::uint32_t kFormatVersion = 5;
 
   /// `dir` must already exist (Characterizer::set_cache_dir creates
   /// it); a non-directory or unwritable path degrades to a cache that

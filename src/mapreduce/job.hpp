@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "mapreduce/fault.hpp"
 #include "util/units.hpp"
@@ -55,5 +56,12 @@ struct JobConfig {
 
   std::uint64_t seed = 42;
 };
+
+/// Trace-cache key of `cfg`: every field that can change the trace of
+/// one workload, doubles by their exact bit pattern. `exec_threads` is
+/// left out (it never changes a trace) and an inactive fault plan keys
+/// as 0 (it takes the fault-free path). Plain text, because the on-disk
+/// cache embeds it verbatim as its collision guard.
+std::string trace_key(const JobConfig& cfg);
 
 }  // namespace bvl::mr
