@@ -6,7 +6,6 @@
 //       hiding rather than width;
 //   (d) map-output compression — TeraSort's tuning, quantified.
 #include "figures/fig_util.hpp"
-#include "mapreduce/engine.hpp"
 #include "report/emitters.hpp"
 
 namespace bvl::figs {
@@ -43,22 +42,18 @@ void ablate_combiner(Context& ctx, Report& rep) {
             strf("shuffle %.1f MB vs %.1f MB", shuffle_on / 1e6, shuffle_off / 1e6));
 }
 
-void ablate_spill_buffer(Report& rep) {
+void ablate_spill_buffer(Context& ctx, Report& rep) {
   rep.text(report::header_text("Ablation B - spill buffer (io.sort.mb) sweep (Sort on Atom)",
                                "engine design choice"));
   Table t("spill_buffer", {"buffer", "spills/task", "device[GB]", "total[s]"});
-  mr::Engine engine;
+  perf::PerfModel atom(arch::atom_c2758());
   bool spills_down = true, time_down = true;
   double prev_spills = 1e18, prev_time = 1e18;
   for (Bytes buf : {32 * MB, 64 * MB, 100 * MB, 200 * MB, 400 * MB}) {
-    auto def = wl::make_workload(wl::WorkloadId::kSort);
-    mr::JobConfig cfg;
-    cfg.input_size = 1 * GB;
-    cfg.block_size = 512 * MB;
-    cfg.spill_buffer = buf;
-    cfg.sim_scale = 64.0;
-    mr::JobTrace trace = engine.run(*def, cfg);
-    perf::PerfModel atom(arch::atom_c2758());
+    core::RunSpec spec;
+    spec.workload = wl::WorkloadId::kSort;
+    spec.spill_buffer = buf;
+    const mr::JobTrace& trace = ctx.ch.trace(spec);
     perf::RunResult r = atom.price(trace, 1.8 * GHz, 4);
     auto m = trace.map_total();
     double spills = m.spills / static_cast<double>(trace.num_map_tasks());
@@ -100,27 +95,25 @@ void ablate_mlp(Report& rep) {
   rep.check("big-core-ipc-gap-grows-with-mlp-hiding", gap_up);
 }
 
-void ablate_compression(Report& rep) {
+void ablate_compression(Context& ctx, Report& rep) {
   rep.text(report::header_text("Ablation D - map-output compression (TeraSort, 1 GB)",
                                "mapreduce.map.output.compress"));
   Table t("compression", {"compress", "server", "map io[s]", "net[s]", "total[s]"});
-  mr::Engine engine;
+  // Compression is a pricing-time flag: one TeraSort trace, priced
+  // with the flag on and off.
+  core::RunSpec spec;
+  spec.workload = wl::WorkloadId::kTeraSort;
+  mr::JobTrace on_trace = ctx.ch.trace(spec);
+  on_trace.config.compress_map_output = true;
+  mr::JobTrace off_trace = on_trace;
+  off_trace.config.compress_map_output = false;
   bool cuts = true;
   std::string cuts_detail;
   for (bool on : {true, false}) {
-    auto def = wl::make_workload(wl::WorkloadId::kTeraSort);
-    mr::JobConfig cfg;
-    cfg.input_size = 1 * GB;
-    cfg.block_size = 512 * MB;
-    cfg.sim_scale = 64.0;
-    mr::JobTrace trace = engine.run(*def, cfg);
-    trace.config.compress_map_output = on;
     for (const auto& server : arch::paper_servers()) {
       perf::PerfModel model(server);
-      perf::RunResult r = model.price(trace, 1.8 * GHz, 4);
+      perf::RunResult r = model.price(on ? on_trace : off_trace, 1.8 * GHz, 4);
       if (on) {
-        mr::JobTrace off_trace = engine.run(*def, cfg);
-        off_trace.config.compress_map_output = false;
         perf::RunResult off = model.price(off_trace, 1.8 * GHz, 4);
         if (r.map.io_time >= off.map.io_time || r.reduce.net_time >= off.reduce.net_time ||
             r.total_time() >= off.total_time()) {
@@ -141,9 +134,9 @@ Report build(Context& ctx) {
   Report rep;  // no global header: each ablation prints its own
   rep.paper_ref = "DESIGN.md ablations";
   ablate_combiner(ctx, rep);
-  ablate_spill_buffer(rep);
+  ablate_spill_buffer(ctx, rep);
   ablate_mlp(rep);
-  ablate_compression(rep);
+  ablate_compression(ctx, rep);
   return rep;
 }
 

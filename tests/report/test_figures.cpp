@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,6 +88,35 @@ TEST(Figures, TextByteIdenticalToGoldenAndShapeChecksPass) {
     for (const auto& c : rep.checks)
       EXPECT_TRUE(c.passed) << group << "/" << c.name << ": " << c.detail;
   }
+}
+
+TEST(Figures, AblateReusesTheTraceCache) {
+  // ablate reads every trace through the characterizer, so a cold build
+  // stores each distinct trace once and a warm one runs no engine.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "ablate_trace_cache";
+  fs::remove_all(dir);
+  auto build = [&] {
+    core::Characterizer ch;
+    ch.set_exec_threads(1);
+    ch.set_cache_dir(dir.string());
+    report::Context ctx{ch, std::nullopt};
+    return report::render_text(registry().build("ablate", ctx));
+  };
+  // Each file with its write time: a rewrite would show as a new time.
+  auto files = [&] {
+    std::map<fs::path, fs::file_time_type> out;
+    for (const auto& e : fs::directory_iterator(dir)) out[e.path()] = e.last_write_time();
+    return out;
+  };
+  build();
+  // WordCount with the combiner on and off, Sort at five spill
+  // buffers, TeraSort once.
+  const auto cold = files();
+  EXPECT_EQ(cold.size(), 8u);
+  EXPECT_EQ(build(), read_golden("ablate"));
+  EXPECT_EQ(files(), cold);
+  fs::remove_all(dir);
 }
 
 TEST(Figures, EveryTableYieldsLedgerRows) {
