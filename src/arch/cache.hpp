@@ -31,12 +31,16 @@ struct CacheLevelConfig {
   /// 2 = Atom Silvermont module L2, 6 = Xeon chip-wide L3. Effective
   /// per-core capacity shrinks when that many cores are active.
   int sharer_group = 1;
+
+  bool operator==(const CacheLevelConfig&) const = default;
 };
 
 struct MemoryConfig {
   double latency_ns = 75.0;       ///< loaded DRAM access latency
   double bandwidth_gbps = 12.8;   ///< DDR3-1600 single channel ~12.8 GB/s
   Bytes capacity = 8ULL * GB;     ///< both servers use 8 GB (Table 1)
+
+  bool operator==(const MemoryConfig&) const = default;
 };
 
 /// Global miss ratio of a cache of `capacity` for working set `ws`

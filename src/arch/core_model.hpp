@@ -33,6 +33,8 @@ struct CoreConfig {
   /// "hide memory subsystem misses"; this is that knob.
   double mlp_hide = 0.5;
   int branch_penalty_cycles = 14;
+
+  bool operator==(const CoreConfig&) const = default;
 };
 
 /// Per-instruction cycle breakdown at one operating point.

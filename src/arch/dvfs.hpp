@@ -15,6 +15,8 @@ namespace bvl::arch {
 struct OperatingPoint {
   Hertz freq = 0;
   Volts voltage = 0;
+
+  bool operator==(const OperatingPoint&) const = default;
 };
 
 class DvfsTable {
@@ -52,6 +54,8 @@ class DvfsTable {
   /// table ends — the stepping primitive of the cap enforcement loop.
   Hertz step_down(Hertz freq) const;
   Hertz step_up(Hertz freq) const;
+
+  bool operator==(const DvfsTable&) const = default;
 
  private:
   std::vector<OperatingPoint> points_;

@@ -31,6 +31,8 @@ struct PowerParams {
   double disk_active_w = 6.0;
   /// Whole-system idle power; the Watts-up methodology subtracts it.
   double system_idle_w = 30.0;
+
+  bool operator==(const PowerParams&) const = default;
 };
 
 struct ServerConfig {
@@ -51,6 +53,11 @@ struct ServerConfig {
   /// sustains (TCP processing runs on the cores; the microserver's
   /// weaker NIC offload and kernel path cap its shuffle rate).
   double network_efficiency = 1.0;
+
+  /// Every field, name included: a modified copy that keeps a preset's
+  /// name is a different server (pricer caches and rack type tables
+  /// compare with this, never by name alone).
+  bool operator==(const ServerConfig&) const = default;
 
   CacheHierarchy make_hierarchy() const { return CacheHierarchy(cache_levels, memory); }
   CoreModel make_core_model() const { return CoreModel(core, make_hierarchy()); }

@@ -28,6 +28,8 @@ struct StorageConfig {
   /// Kernel/filesystem instructions executed per byte moved; runs on
   /// the core, so a slow core inflates the I/O path too.
   double kernel_inst_per_byte = 1.5;
+
+  bool operator==(const StorageConfig&) const = default;
 };
 
 class StorageModel {

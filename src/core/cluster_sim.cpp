@@ -124,7 +124,9 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
     // tasks and charged on the primary type.
     s.finish = js.last_finish + r.profile(j, primary_type).other_s;
     s.energy = js.energy + r.profile(j, primary_type).other_energy;
-    s.tasks_by_type = js.tasks_by_type;
+    for (std::size_t t = 0; t < r.types.size(); ++t) {
+      if (js.tasks_by_type[t] > 0) s.tasks_by_type[r.types[t]->name] += js.tasks_by_type[t];
+    }
     result.total_energy += s.energy;
     result.makespan = std::max(result.makespan, s.finish);
     result.schedule.push_back(std::move(s));

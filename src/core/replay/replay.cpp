@@ -39,7 +39,7 @@ Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
     require(spec.count >= 1, where_ + ": node count must be >= 1");
     int type_id = -1;
     for (std::size_t t = 0; t < types.size(); ++t) {
-      if (types[t]->name == spec.server.name) type_id = static_cast<int>(t);
+      if (*types[t] == spec.server) type_id = static_cast<int>(t);
     }
     if (type_id < 0) {
       type_id = static_cast<int>(types.size());
@@ -125,6 +125,7 @@ std::size_t Replay::add_job(const JobRequest& req) {
   Job& job = jobs.emplace_back();
   job.spec = spec_row_.at({static_cast<int>(req.workload), req.input_size});
   job.cls = row_class_[job.spec];
+  job.tasks_by_type.assign(types.size(), 0);
   job.prefers_big = schedule_by_class(job.cls, Goal::edp()).uses_xeon();
   const perf::JobSim& p = profile(jobs.size() - 1, 0);
   job.nmaps = static_cast<int>(p.map_tasks.size());
@@ -183,7 +184,7 @@ void Replay::start_task(const TaskRef& tr, std::size_t flat) {
   if (!n.slots->try_acquire()) throw Error(where_ + ": dispatched to a full node");
   Job& job = jobs[tr.job];
   job.first_start = std::min(job.first_start, sim.now());
-  job.tasks_by_type[n.server->name] += 1;
+  job.tasks_by_type[static_cast<std::size_t>(n.type_id)] += 1;
   if (tr.phase == 0) job.maps_by_node[flat] += 1;
   n.tasks_run += 1;
   n.est_ends.insert(est_end);
@@ -265,10 +266,8 @@ int Replay::primary_type(const Job& job) const {
   int primary = 0;
   int best_count = -1;
   for (std::size_t t = 0; t < types.size(); ++t) {
-    auto it = job.tasks_by_type.find(types[t]->name);
-    int count = it == job.tasks_by_type.end() ? 0 : it->second;
-    if (count > best_count) {
-      best_count = count;
+    if (job.tasks_by_type[t] > best_count) {
+      best_count = job.tasks_by_type[t];
       primary = static_cast<int>(t);
     }
   }

@@ -40,7 +40,7 @@ struct Job {
   Seconds first_start = std::numeric_limits<double>::infinity();
   Seconds last_finish = 0;
   Joules energy = 0;  ///< dynamic energy of the completed tasks
-  std::map<std::string, int> tasks_by_type;
+  std::vector<int> tasks_by_type;  ///< tasks started, by type id
   /// Map tasks by flat node id — the shuffle source weights: a reduce
   /// fetches from each node in proportion to the maps it ran there.
   std::map<std::size_t, int> maps_by_node;

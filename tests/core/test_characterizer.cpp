@@ -63,6 +63,27 @@ TEST(Characterizer, SpecFieldsFlowIntoResult) {
   EXPECT_EQ(r.mappers, 6);
 }
 
+TEST(Characterizer, SameNameServersArePricedAsThemselves) {
+  // A 1-wide, in-order Xeon that keeps the preset's name is a different
+  // server: a characterizer that already priced the stock Xeon must not
+  // serve its cached pricer for it.
+  arch::ServerConfig narrow = arch::xeon_e5_2420();
+  narrow.core.issue_width = 1;
+  narrow.core.out_of_order = false;
+  RunSpec spec;
+  spec.workload = wl::WorkloadId::kWordCount;
+  spec.input_size = 64 * MB;
+  Characterizer warm, fresh;
+  for (auto kind : {perf::PricerKind::kAnalytic, perf::PricerKind::kEvent}) {
+    const double stock = warm.run(spec, arch::xeon_e5_2420(), kind).total_time();
+    const double got = warm.run(spec, narrow, kind).total_time();
+    EXPECT_EQ(got, fresh.run(spec, narrow, kind).total_time());
+    EXPECT_GT(got, stock);
+  }
+  warm.event_pricer(arch::xeon_e5_2420(), sim::NicPresetId::k10GbE);
+  EXPECT_EQ(warm.event_pricer(narrow, sim::NicPresetId::k10GbE).server(), narrow);
+}
+
 TEST(Characterizer, RejectsTinyExecutionTarget) {
   EXPECT_THROW(Characterizer({}, {}, 1 * KB), Error);
 }

@@ -98,6 +98,35 @@ TEST(ClusterSim, TaskSlotsDeriveFromServerConfig) {
   EXPECT_EQ(task_slots_for(arch::atom_c2758(), huge), arch::atom_c2758().cores);
 }
 
+TEST(ClusterSim, SameNameNodeTypesStayDistinct) {
+  // A 1-wide, in-order Xeon that keeps the preset's name is its own
+  // node type: the rack replays exactly as it does once it is renamed.
+  // With two copies it also runs most of each job's tasks, so it is
+  // the type setup and cleanup are charged on.
+  arch::ServerConfig narrow = arch::xeon_e5_2420();
+  narrow.core.issue_width = 1;
+  narrow.core.out_of_order = false;
+  arch::ServerConfig renamed = narrow;
+  renamed.name += " (1-wide)";
+  const std::vector<JobRequest> jobs = {{wl::WorkloadId::kWordCount, 1 * GB},
+                                        {wl::WorkloadId::kWordCount, 1 * GB}};
+  for (int copies : {1, 2}) {
+    SCOPED_TRACE(copies);
+    Characterizer ch;
+    MixResult same = simulate_mix(ch, jobs, {{arch::xeon_e5_2420(), 1}, {narrow, copies}},
+                                  MixPolicy::kRoundRobin);
+    MixResult apart = simulate_mix(ch, jobs, {{arch::xeon_e5_2420(), 1}, {renamed, copies}},
+                                   MixPolicy::kRoundRobin);
+    EXPECT_EQ(same.makespan, apart.makespan);
+    EXPECT_EQ(same.total_energy, apart.total_energy);
+    ASSERT_EQ(same.schedule.size(), apart.schedule.size());
+    for (std::size_t j = 0; j < same.schedule.size(); ++j) {
+      EXPECT_EQ(same.schedule[j].finish, apart.schedule[j].finish);
+      EXPECT_EQ(same.schedule[j].energy, apart.schedule[j].energy);
+    }
+  }
+}
+
 TEST(ClusterSim, WideJobSplitsAcrossNodeTypesUnderPressure) {
   // One 10 GB job has more tasks than a single node's slots; on a
   // heterogeneous rack the work-conserving dispatcher spreads it over
