@@ -1,6 +1,8 @@
 #include "workloads/fpgrowth.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <string>
 
 #include "util/error.hpp"
 #include "workloads/datagen.hpp"
@@ -16,38 +18,44 @@ int group_of(Item item, int groups) { return static_cast<int>(item % static_cast
 
 class PfpMapper final : public mr::Mapper {
  public:
-  explicit PfpMapper(int groups) : groups_(groups) {}
+  explicit PfpMapper(int groups) : groups_(groups) {
+    for (int g = 0; g < groups_; ++g) keys_.emplace_back("g").append(std::to_string(g));
+  }
 
   void map(const mr::Record& rec, mr::Emitter& out, mr::WorkCounters& c) override {
-    Transaction t = parse_transaction(rec.value);
-    c.token_ops += static_cast<double>(t.size());
-    if (t.empty()) return;
+    items_.clear();
+    append_transaction(rec.value, items_);
+    c.token_ops += static_cast<double>(items_.size());
+    if (items_.empty()) return;
+    // Render the basket once: every dependent prefix (items up to and
+    // including position i) is the leading slice ends_[i] of it.
+    line_.clear();
+    ends_.clear();
+    for (Item item : items_) {
+      if (!line_.empty()) line_ += ' ';
+      char buf[16];
+      line_.append(buf, std::to_chars(buf, buf + sizeof buf, item).ptr);
+      ends_.push_back(line_.size());
+    }
     // Emit each group's dependent prefix once (dedup groups seen,
-    // scanning least-frequent-first as PFP does).
-    int emitted_mask_small = 0;  // groups_ <= 31 in practice; fall back below otherwise
-    std::vector<bool> emitted;
-    bool use_mask = groups_ <= 31;
-    if (!use_mask) emitted.assign(static_cast<std::size_t>(groups_), false);
-    for (std::size_t i = t.size(); i-- > 0;) {
-      int g = group_of(t[i], groups_);
-      bool seen = use_mask ? ((emitted_mask_small >> g) & 1) != 0
-                           : emitted[static_cast<std::size_t>(g)];
-      if (seen) continue;
-      if (use_mask) emitted_mask_small |= 1 << g;
-      else emitted[static_cast<std::size_t>(g)] = true;
-      // Dependent prefix: items up to and including position i.
-      std::string prefix;
-      for (std::size_t j = 0; j <= i; ++j) {
-        if (j) prefix += ' ';
-        prefix += std::to_string(t[j]);
-      }
-      out.emit("g" + std::to_string(g), prefix);
+    // scanning least-frequent-first as PFP does); groups <= 64.
+    std::uint64_t emitted = 0;
+    for (std::size_t i = items_.size(); i-- > 0;) {
+      const int g = group_of(items_[i], groups_);
+      const std::uint64_t bit = std::uint64_t{1} << g;
+      if (emitted & bit) continue;
+      emitted |= bit;
+      out.emit(keys_[static_cast<std::size_t>(g)], std::string_view(line_).substr(0, ends_[i]));
       c.compute_units += static_cast<double>(i + 1);
     }
   }
 
  private:
   int groups_;
+  std::vector<std::string> keys_;  ///< "g<group>", built once
+  Transaction items_;
+  std::string line_;
+  std::vector<std::size_t> ends_;
 };
 
 class PfpReducer final : public mr::Reducer {
@@ -59,12 +67,14 @@ class PfpReducer final : public mr::Reducer {
     std::uint64_t min_support = std::max<std::uint64_t>(
         2, static_cast<std::uint64_t>(values.size()) * static_cast<std::uint64_t>(per_mille_) /
                1000);
-    FpTree tree(min_support);
-    std::uint64_t visits = 0;
+    PathBatch batch;
     for (const auto& v : values) {
-      Transaction t = parse_transaction(v);
-      if (!t.empty()) visits += tree.insert(t);
+      const std::size_t begin = batch.items.size();
+      append_transaction(v, batch.items);
+      batch.end_path(begin);
     }
+    FpTree tree(min_support);
+    std::uint64_t visits = tree.build(batch);
     // Cap the mined output so pathological shards stay bounded, as
     // Mahout's topKStrings does.
     auto patterns = tree.mine(&visits, /*max_patterns=*/256);

@@ -3,21 +3,29 @@
 // fully tested implementation: the MapReduce wrapper (fpgrowth.hpp)
 // shards transactions Mahout-PFP-style and runs this miner per shard.
 //
-// Nodes live in a bump-allocated arena (one std::vector, 32-bit
-// indices) instead of per-node heap allocations, and the child edges
-// of the whole tree share one open-addressing (parent, item) -> child
-// table instead of a std::map per node. FP-Growth builds a fresh
-// conditional tree per frequent item per recursion level, so
-// construction and teardown cost dominates the workload; the arena
-// collapses both to a handful of vector operations. The *logical*
-// work metric — node visits charged to the perf model — is untouched:
-// insert() and mine() count exactly what the pointer-based tree
-// counted (one visit per item per insert, one per prefix-path step),
-// so traces and goldens are bit-identical.
+// A tree is built in one bulk pass over a PathBatch — every path's
+// items in one flat buffer plus {begin, end, count} spans — by a
+// multikey quicksort of the spans: three-way partitioning on the item
+// at each depth gathers the spans that share a prefix, and each such
+// run is one node whose count is the run's summed count. No child
+// lookup structure exists; nodes live in one arena vector addressed by
+// 32-bit indices, and a radix sort of the nodes by item builds the
+// header: one entry per distinct item, so nothing is sized by the
+// largest item id. The reducer's shard tree and every conditional
+// tree mined from it go through this one builder.
+//
+// The FP-tree of a multiset of sorted paths is unique (a trie whose
+// node counts are sums), so node count, node counts and header
+// supports do not depend on the order of the paths. The logical work
+// metric the perf model charges is order-free too: build() returns one
+// visit per path item, shared prefix or not, and mine() adds one visit
+// per prefix-path step. Mining walks the distinct items in descending
+// order, and a conditional tree depends only on the multiset of its
+// base paths, so the mined pattern sequence is fixed by the input
+// multiset as well.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string_view>
 #include <vector>
 
@@ -31,15 +39,39 @@ struct Pattern {
   std::uint64_t support = 0;
 };
 
+/// Transactions for FpTree::build: the items of every path sit in one
+/// flat buffer, and each span names one path's [begin, end) slice of
+/// it and how many times the path occurs.
+struct PathBatch {
+  struct Span {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    std::uint64_t count = 1;
+  };
+
+  std::vector<Item> items;
+  std::vector<Span> spans;
+
+  /// Closes the path made of the items appended to `items` since
+  /// offset `begin`. An empty path adds no span.
+  void end_path(std::size_t begin, std::uint64_t count = 1);
+  void clear() {
+    items.clear();
+    spans.clear();
+  }
+};
+
 class FpTree {
  public:
   /// `min_support`: absolute occurrence threshold for mining.
   explicit FpTree(std::uint64_t min_support);
 
-  /// Inserts one transaction (items must be pre-sorted ascending).
-  /// Returns the number of tree nodes visited/created — the
-  /// compute-unit metric the perf model charges.
-  std::uint64_t insert(const Transaction& t, std::uint64_t count = 1);
+  /// Replaces the tree with the one holding every path of `batch`.
+  /// Each path must be strictly ascending; a span out of range or a
+  /// path that is not throws Error. Reorders and filters
+  /// `batch.spans`. Returns the tree nodes visited/created — one per
+  /// path item, the compute-unit metric the perf model charges.
+  std::uint64_t build(PathBatch& batch);
 
   /// Mines all frequent patterns (recursive conditional-tree
   /// FP-Growth). `visits` accumulates node visits. `max_patterns`
@@ -54,37 +86,37 @@ class FpTree {
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr std::uint32_t kRoot = 0;
 
-  /// 24 bytes, arena-indexed. Children are reachable only through the
-  /// shared edge table — the mining walks go upward (parent) and
-  /// sideways (header chains), never down.
+  /// 16 bytes, arena-indexed. Mining walks only upward (parent) and
+  /// across one item's nodes (header), never down, so nodes keep no
+  /// children.
   struct Node {
     std::uint64_t count = 0;
     Item item = 0;
     std::uint32_t parent = kNil;
-    std::uint32_t next_same_item = kNil;  ///< header-table chain (LIFO)
   };
 
-  /// Header entry per distinct item: chain head plus the support
-  /// total the pointer-based tree kept in a separate map.
+  /// One per distinct item, in ascending item order: the item's nodes
+  /// are by_item_[first, next entry's first), and its support is the
+  /// sum of their counts.
   struct HeaderEntry {
-    std::uint32_t head = kNil;
+    Item item = 0;
+    std::uint32_t first = 0;
     std::uint64_t support = 0;
   };
 
-  std::uint32_t find_or_add_child(std::uint32_t parent, Item item);
-  void grow_edges();
-  void mine_rec(std::vector<Item>& suffix, std::vector<Pattern>& out, std::uint64_t* visits,
+  void index_items();
+  void mine_rec(std::vector<Item>& suffix, std::vector<Pattern>& out, std::uint64_t& visits,
                 std::size_t max_patterns) const;
 
   std::uint64_t min_support_;
-  std::vector<Node> pool_;  ///< [0] is the root; indices never move
-  // Open-addressing (parent << 32 | item) -> child-index table for the
-  // whole tree; power-of-two capacity, linear probing, kNil = empty.
-  std::vector<std::uint64_t> edge_keys_;
-  std::vector<std::uint32_t> edge_vals_;
-  std::size_t edge_count_ = 0;
-  std::map<Item, HeaderEntry> header_;  ///< ordered: mining iterates descending
+  std::vector<Node> pool_;             ///< [0] is the root
+  std::vector<HeaderEntry> header_;    ///< ascending item: mining iterates it backwards
+  std::vector<std::uint32_t> by_item_; ///< every non-root node, grouped by item
 };
+
+/// Parses "3 17 42" and appends its items to `out`, sorted ascending
+/// with duplicates removed; non-numeric tokens are skipped.
+void append_transaction(std::string_view line, std::vector<Item>& out);
 
 /// Parses "3 17 42" into a Transaction; non-numeric tokens skipped.
 Transaction parse_transaction(std::string_view line);

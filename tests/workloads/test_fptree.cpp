@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
 
 #include "util/error.hpp"
 
@@ -16,18 +18,89 @@ std::uint64_t support_of(const std::vector<Pattern>& ps, std::vector<Item> items
   return 0;
 }
 
+void add(PathBatch& batch, const Transaction& path, std::uint64_t count = 1) {
+  const std::size_t begin = batch.items.size();
+  batch.items.insert(batch.items.end(), path.begin(), path.end());
+  batch.end_path(begin, count);
+}
+
+/// Builds `tree` from `paths`, each occurring once; returns the visits.
+std::uint64_t build(FpTree& tree, const std::vector<Transaction>& paths) {
+  PathBatch batch;
+  for (const auto& p : paths) add(batch, p);
+  return tree.build(batch);
+}
+
+/// The one-transaction-at-a-time FP-tree the bulk builder replaced:
+/// a std::map of children per node, LIFO header chains, and its visit
+/// counting (one per inserted item, one per prefix-path step).
+struct ReferenceTree {
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  struct Node {
+    Item item = 0;
+    std::size_t parent = kNone;
+    std::size_t next_same_item = kNone;
+    std::uint64_t count = 0;
+    std::map<Item, std::size_t> children;
+  };
+  struct Header {
+    std::size_t head = kNone;
+    std::uint64_t support = 0;
+  };
+
+  explicit ReferenceTree(std::uint64_t min_support) : min_support(min_support) {}
+
+  std::uint64_t min_support;
+  std::vector<Node> nodes{Node{}};
+  std::map<Item, Header> header;
+
+  std::uint64_t insert(const Transaction& t, std::uint64_t count) {
+    std::size_t cur = 0;
+    for (Item item : t) {
+      auto found = nodes[cur].children.find(item);
+      std::size_t child = found == nodes[cur].children.end() ? nodes.size() : found->second;
+      if (child == nodes.size()) {
+        nodes[cur].children.emplace(item, child);
+        Header& h = header[item];
+        nodes.push_back(Node{item, cur, h.head, 0, {}});
+        h.head = child;
+      }
+      cur = child;
+      nodes[cur].count += count;
+      header[item].support += count;
+    }
+    return t.size();
+  }
+
+  void mine(std::vector<Item>& suffix, std::vector<Pattern>& out, std::uint64_t& visits,
+            std::size_t max_patterns) const {
+    for (auto it = header.rbegin(); it != header.rend(); ++it) {
+      if (it->second.support < min_support) continue;
+      if (max_patterns != 0 && out.size() >= max_patterns) return;
+      Pattern p{suffix, it->second.support};
+      p.items.push_back(it->first);
+      std::sort(p.items.begin(), p.items.end());
+      out.push_back(p);
+      ReferenceTree cond(min_support);
+      for (std::size_t n = it->second.head; n != kNone; n = nodes[n].next_same_item) {
+        Transaction path;
+        for (std::size_t up = nodes[n].parent; up != 0; up = nodes[up].parent, ++visits)
+          path.push_back(nodes[up].item);
+        if (path.empty()) continue;
+        std::reverse(path.begin(), path.end());
+        visits += cond.insert(path, nodes[n].count);
+      }
+      suffix.push_back(it->first);
+      cond.mine(suffix, out, visits, max_patterns);
+      suffix.pop_back();
+    }
+  }
+};
+
 TEST(FpTree, MinesTextbookExample) {
   // Classic Han et al. style dataset.
   FpTree tree(3);
-  tree.insert({1, 2, 5});
-  tree.insert({2, 4});
-  tree.insert({2, 3});
-  tree.insert({1, 2, 4});
-  tree.insert({1, 3});
-  tree.insert({2, 3});
-  tree.insert({1, 3});
-  tree.insert({1, 2, 3, 5});
-  tree.insert({1, 2, 3});
+  build(tree, {{1, 2, 5}, {2, 4}, {2, 3}, {1, 2, 4}, {1, 3}, {2, 3}, {1, 3}, {1, 2, 3, 5}, {1, 2, 3}});
   auto patterns = tree.mine();
 
   EXPECT_EQ(support_of(patterns, {1}), 6u);
@@ -43,17 +116,17 @@ TEST(FpTree, MinesTextbookExample) {
 
 TEST(FpTree, AllMinedPatternsMeetMinSupport) {
   FpTree tree(2);
+  std::vector<Transaction> paths;
   for (Item a = 0; a < 8; ++a)
-    for (Item b = a + 1; b < 8; ++b) tree.insert({a, b});
+    for (Item b = a + 1; b < 8; ++b) paths.push_back({a, b});
+  build(tree, paths);
   for (const auto& p : tree.mine()) EXPECT_GE(p.support, 2u);
 }
 
 TEST(FpTree, SubsetSupportMonotonicity) {
   // Apriori property: support({a,b}) <= support({a}).
   FpTree tree(1);
-  tree.insert({1, 2, 3});
-  tree.insert({1, 2});
-  tree.insert({1});
+  build(tree, {{1, 2, 3}, {1, 2}, {1}});
   auto ps = tree.mine();
   EXPECT_LE(support_of(ps, {1, 2}), support_of(ps, {1}));
   EXPECT_LE(support_of(ps, {1, 2, 3}), support_of(ps, {1, 2}));
@@ -64,28 +137,113 @@ TEST(FpTree, SubsetSupportMonotonicity) {
 
 TEST(FpTree, SharedPrefixesCompress) {
   FpTree tree(1);
-  tree.insert({1, 2, 3});
-  tree.insert({1, 2, 4});
+  build(tree, {{1, 2, 3}, {1, 2, 4}});
   // root + 1,2 shared + 3,4 leaves = 5 nodes.
   EXPECT_EQ(tree.node_count(), 5u);
 }
 
 TEST(FpTree, InsertCountsVisits) {
+  // One visit per path item, shared prefix or not; a rebuild replaces
+  // the tree.
   FpTree tree(1);
-  EXPECT_EQ(tree.insert({1, 2, 3}), 3u);
+  EXPECT_EQ(build(tree, {{1, 2, 3}}), 3u);
+  EXPECT_EQ(build(tree, {{1, 2, 3}, {1, 2}, {}}), 5u);
+  EXPECT_EQ(tree.node_count(), 4u);
 }
 
 TEST(FpTree, MaxPatternsCapsOutput) {
   FpTree tree(1);
-  for (Item i = 0; i < 10; ++i) tree.insert({i});
+  std::vector<Transaction> paths;
+  for (Item i = 0; i < 10; ++i) paths.push_back({i});
+  build(tree, paths);
   auto ps = tree.mine(nullptr, 3);
   EXPECT_EQ(ps.size(), 3u);
 }
 
 TEST(FpTree, RejectsUnsortedTransaction) {
   FpTree tree(1);
-  EXPECT_THROW(tree.insert({3, 1}), Error);
+  EXPECT_THROW(build(tree, {{3, 1}}), Error);
   EXPECT_THROW(FpTree(0), Error);
+  PathBatch out_of_range;
+  out_of_range.items = {1, 2};
+  out_of_range.spans.push_back({1, 3, 1});
+  EXPECT_THROW(tree.build(out_of_range), Error);
+}
+
+TEST(FpTree, RejectsDuplicateItems) {
+  // A repeated item would become its own child and count twice toward
+  // the item's support.
+  FpTree tree(1);
+  EXPECT_THROW(build(tree, {{1, 1}}), Error);
+  EXPECT_THROW(build(tree, {{2}, {1, 3, 3, 4}}), Error);
+}
+
+TEST(FpTree, HugeItemIdsStayCheap) {
+  // Item ids reach 2^32 - 1; nothing may be sized by the largest one.
+  FpTree tree(1);
+  EXPECT_EQ(build(tree, {{7, 4000000000u}, {7}}), 3u);
+  EXPECT_EQ(tree.node_count(), 3u);
+  std::uint64_t visits = 0;
+  auto ps = tree.mine(&visits);
+  ASSERT_EQ(ps.size(), 3u);
+  EXPECT_EQ(ps[0].items, (std::vector<Item>{4000000000u}));
+  EXPECT_EQ(ps[0].support, 1u);
+  EXPECT_EQ(ps[1].items, (std::vector<Item>{7, 4000000000u}));
+  EXPECT_EQ(ps[1].support, 1u);
+  EXPECT_EQ(ps[2].items, (std::vector<Item>{7}));
+  EXPECT_EQ(ps[2].support, 2u);
+  EXPECT_EQ(visits, 2u);  // one step up from 4000000000, one insert into its conditional tree
+}
+
+TEST(FpTree, MatchesOneAtATimeInsertReference) {
+  // Random batches, duplicate paths and counts above one included, must
+  // give the reference's node count, visits and pattern sequence.
+  const std::size_t caps[] = {0, 1, 3, 256};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto uniform = [&](std::uint64_t lo, std::uint64_t hi) {
+      return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+    };
+    const std::uint64_t min_support = uniform(1, 5);
+    const std::size_t max_patterns = caps[uniform(0, 3)];
+    ReferenceTree ref(min_support);
+    PathBatch batch;
+    std::vector<Transaction> paths;
+    std::uint64_t ref_visits = 0;
+    for (std::uint64_t n = uniform(1, 300); n-- > 0;) {
+      Transaction t;
+      if (!paths.empty() && uniform(0, 3) == 0) {
+        t = paths[uniform(0, paths.size() - 1)];
+      } else {
+        // Skewed toward small ids so prefixes are shared.
+        for (std::uint64_t k = uniform(0, 7); k-- > 0;)
+          t.push_back(static_cast<Item>(uniform(0, uniform(0, 40))));
+        if (uniform(0, 9) == 0) t.push_back(static_cast<Item>(0xffffffffu - uniform(0, 2)));
+        std::sort(t.begin(), t.end());
+        t.erase(std::unique(t.begin(), t.end()), t.end());
+      }
+      paths.push_back(t);
+      const std::uint64_t count = uniform(1, 3);
+      ref_visits += ref.insert(t, count);
+      add(batch, t, count);
+    }
+    FpTree tree(min_support);
+    ASSERT_EQ(tree.build(batch), ref_visits) << "seed " << seed;
+    ASSERT_EQ(tree.node_count(), ref.nodes.size()) << "seed " << seed;
+
+    std::vector<Pattern> want;
+    std::vector<Item> suffix;
+    std::uint64_t want_visits = 0;
+    ref.mine(suffix, want, want_visits, max_patterns);
+    std::uint64_t got_visits = 0;
+    auto got = tree.mine(&got_visits, max_patterns);
+    EXPECT_EQ(got_visits, want_visits) << "seed " << seed;
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].items, want[i].items) << "seed " << seed << " pattern " << i;
+      EXPECT_EQ(got[i].support, want[i].support) << "seed " << seed << " pattern " << i;
+    }
+  }
 }
 
 TEST(ParseTransaction, SortsDedupsSkipsJunk) {
@@ -95,6 +253,10 @@ TEST(ParseTransaction, SortsDedupsSkipsJunk) {
   EXPECT_EQ(t[1], 7u);
   EXPECT_EQ(t[2], 11u);
   EXPECT_TRUE(parse_transaction("").empty());
+  // Appending sorts and dedups only the new items.
+  Transaction buf{9};
+  append_transaction("5 2 5", buf);
+  EXPECT_EQ(buf, (Transaction{9, 2, 5}));
 }
 
 }  // namespace
