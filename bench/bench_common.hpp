@@ -31,9 +31,11 @@ inline core::Characterizer& characterizer() {
 inline void print_shared_flag_help(const char* prog) {
   std::printf("usage: %s [options]\n", prog);
   std::printf("shared options:\n");
-  std::printf("  --threads N   engine executor width per job (0 = hardware\n");
-  std::printf("                concurrency, 1 = serial; default 0). Printed\n");
-  std::printf("                tables are bit-identical at any width.\n");
+  std::printf("  --threads N   width of every worker pool: each engine run,\n");
+  std::printf("                trace prefetch and the figures' rack-replay\n");
+  std::printf("                fan-out (0 = hardware concurrency, 1 = no\n");
+  std::printf("                pools; default 0). Printed tables are\n");
+  std::printf("                bit-identical at any width.\n");
   std::printf("  --json PATH   write machine-readable results to PATH\n");
   std::printf("                (benches that keep a BENCH_*.json ledger)\n");
   std::printf("  --cache-dir D persist characterized traces under D and\n");
@@ -45,7 +47,7 @@ inline void print_shared_flag_help(const char* prog) {
 
 /// Parses the flags shared by every bench and applies them to the
 /// shared characterizer:
-///   --threads N | --threads=N       engine executor width per job
+///   --threads N | --threads=N       width of every worker pool
 ///   --cache-dir D | --cache-dir=D   persistent trace cache directory
 ///   --help                          print the shared flags and exit
 /// Malformed --threads values are rejected with an error (exit 2)

@@ -119,28 +119,39 @@ Report build(Context& ctx) {
                report::fixed(xrack_frac(res), 3)});
   };
 
-  for (std::size_t r = 0; r < rack_ix.size(); ++r) {
+  // One fan-out over every (rack, preset): cell 0 of each fills the
+  // infinite-fabric base slot, cell 1 + a * policies + pol the modeled
+  // one at spine anchor a under policy pol.
+  const std::size_t per_preset = 1 + spine_anchors().size() * policies.size();
+  fan_out(ctx, rack_ix.size() * presets().size() * per_preset, [&](std::size_t i) {
+    const std::size_t r = i / (presets().size() * per_preset);
+    const std::size_t p = i / per_preset % presets().size();
+    const std::size_t j = i % per_preset;
     const auto& rack = all_racks[rack_ix[r]];
+    core::MixOptions opts;
+    opts.fabric.nic_preset = presets()[p];
+    if (j == 0) {
+      base[r][p] = core::simulate_mix(ctx.ch, jobs, rack, core::MixPolicy::kEarliestFinish,
+                                      kCellThreads, opts);
+      return;
+    }
+    const std::size_t a = (j - 1) / policies.size(), pol = (j - 1) % policies.size();
+    // agg / (anchor/s): the preset's aggregate over the fixed core.
+    const double oversub =
+        endpoint_aggregate(ctx, rack, presets()[p]) / (anchor_bps / spine_anchors()[a]);
+    opts.fabric.modeled = true;
+    opts.fabric.topology = crossover_topology(rack, oversub);
+    results[r][p][a][pol] =
+        core::simulate_mix(ctx.ch, jobs, rack, policies[pol], kCellThreads, opts);
+  });
+  for (std::size_t r = 0; r < rack_ix.size(); ++r) {
     for (std::size_t p = 0; p < presets().size(); ++p) {
       const char* nic = sim::nic_preset(presets()[p]).name;
-      core::MixOptions inf_opts;
-      inf_opts.fabric.nic_preset = presets()[p];
-      base[r][p] = core::simulate_mix(ctx.ch, jobs, rack, core::MixPolicy::kEarliestFinish, 0,
-                                      inf_opts);
       add_row(r, nic, "inf", "EF", base[r][p]);
-      const double agg = endpoint_aggregate(ctx, rack, presets()[p]);
       for (std::size_t a = 0; a < spine_anchors().size(); ++a) {
-        const double s = spine_anchors()[a];
-        // agg / (anchor/s): the preset's aggregate over the fixed core.
-        const double oversub = agg / (anchor_bps / s);
         for (std::size_t pol = 0; pol < policies.size(); ++pol) {
-          core::MixOptions opts;
-          opts.fabric.modeled = true;
-          opts.fabric.nic_preset = presets()[p];
-          opts.fabric.topology = crossover_topology(rack, oversub);
-          results[r][p][a][pol] =
-              core::simulate_mix(ctx.ch, jobs, rack, policies[pol], 0, opts);
-          add_row(r, nic, strf("B/%.0f", s), policy_names[pol].c_str(), results[r][p][a][pol]);
+          add_row(r, nic, strf("B/%.0f", spine_anchors()[a]), policy_names[pol].c_str(),
+                  results[r][p][a][pol]);
         }
       }
     }

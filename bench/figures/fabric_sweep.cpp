@@ -62,13 +62,25 @@ Report build(Context& ctx) {
 
   Table t("fabric_sweep", {"rack", "spine", "makespan[s]", "energy[MJ]", "EDP", "spine util",
                            "xrack frac", "split jobs"});
-  // base[rack] = infinite fabric; results[rack][k] = modeled at spine_sweep()[k]
+  // base[rack] = infinite fabric; results[rack][k] = modeled at
+  // spine_sweep()[k]. Cell (rack, 0) fills the base slot and cell
+  // (rack, 1 + k) the modeled one, all fanned out together.
+  const std::vector<double> spines = spine_sweep();
   std::vector<core::MixResult> base(racks.size());
-  std::vector<std::vector<core::MixResult>> results(racks.size());
+  std::vector<std::vector<core::MixResult>> results(racks.size(),
+                                                    std::vector<core::MixResult>(spines.size()));
+  const std::size_t per_rack = 1 + spines.size();
+  fan_out(ctx, racks.size() * per_rack, [&](std::size_t i) {
+    const std::size_t r = i / per_rack, j = i % per_rack;
+    core::MixOptions opts;
+    if (j > 0) {
+      opts.fabric.modeled = true;
+      opts.fabric.topology = two_rack_topology(racks[r], spines[j - 1]);
+    }
+    core::MixResult& slot = j == 0 ? base[r] : results[r][j - 1];
+    slot = core::simulate_mix(ctx.ch, jobs, racks[r], policy, kCellThreads, opts);
+  });
   for (std::size_t r = 0; r < racks.size(); ++r) {
-    auto run = [&](const core::MixOptions& opts) {
-      return core::simulate_mix(ctx.ch, jobs, racks[r], policy, 0, opts);
-    };
     auto add_row = [&](const char* spine, const core::MixResult& res) {
       int split = 0;
       for (const auto& s : res.schedule) split += s.split_across_types() ? 1 : 0;
@@ -80,14 +92,9 @@ Report build(Context& ctx) {
                  report::fixed(res.fabric.spine_utilization, 3), report::fixed(xfrac, 3),
                  Cell::txt(fmt_num(split))});
     };
-    base[r] = run({});
     add_row("inf", base[r]);
-    for (double s : spine_sweep()) {
-      core::MixOptions opts;
-      opts.fabric.modeled = true;
-      opts.fabric.topology = two_rack_topology(racks[r], s);
-      results[r].push_back(run(opts));
-      add_row(strf("%.0f:1", s).c_str(), results[r].back());
+    for (std::size_t k = 0; k < spines.size(); ++k) {
+      add_row(strf("%.0f:1", spines[k]).c_str(), results[r][k]);
     }
   }
   rep.add(std::move(t));

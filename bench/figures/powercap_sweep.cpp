@@ -51,30 +51,51 @@ Report build(Context& ctx) {
   auto run = [&](std::size_t r, const power::PowerPlanSpec& spec) {
     core::MixOptions opts;
     opts.power = spec;
-    return core::simulate_mix(ctx.ch, jobs, racks[r], core::MixPolicy::kEarliestFinish, 0,
-                              opts);
+    return core::simulate_mix(ctx.ch, jobs, racks[r], core::MixPolicy::kEarliestFinish,
+                              kCellThreads, opts);
   };
 
   // Two baselines per rack: the historical power-inactive replay
   // (zero extra events), and the same replay with the cap loop armed
   // at an unreachable budget — metering alone must not perturb the
-  // timeline, and the pair proves it.
+  // timeline, and the pair proves it. They fan out first: the caps
+  // below are fractions of base[0]'s peak.
   power::PowerPlanSpec meter_only;
   meter_only.rack_cap_w = 1e9;
   std::vector<core::MixResult> plain(racks.size());
   std::vector<core::MixResult> base(racks.size());
-  for (std::size_t r = 0; r < racks.size(); ++r) {
-    plain[r] = run(r, {});
-    base[r] = run(r, meter_only);
-  }
+  fan_out(ctx, 2 * racks.size(), [&](std::size_t i) {
+    const std::size_t r = i / 2;
+    if (i % 2 == 0) plain[r] = run(r, {});
+    else base[r] = run(r, meter_only);
+  });
   const Watts ref_peak = base[0].power.peak_draw;
+
+  // results[rack][k] = capped at cap_fractions()[k] * ref_peak;
+  // gres[g] = the hetero rack, uncapped, under govs[g]. One fan-out.
+  std::vector<Watts> caps;
+  for (double f : cap_fractions()) caps.push_back(f * ref_peak);
+  const std::vector<power::GovernorKind> govs{power::GovernorKind::kPerformance,
+                                             power::GovernorKind::kOndemand,
+                                             power::GovernorKind::kPowersave};
+  std::vector<std::vector<core::MixResult>> results(racks.size(),
+                                                    std::vector<core::MixResult>(caps.size()));
+  std::vector<core::MixResult> gres(govs.size());
+  const std::size_t capped_cells = racks.size() * caps.size();
+  fan_out(ctx, capped_cells + govs.size(), [&](std::size_t i) {
+    power::PowerPlanSpec spec;
+    if (i < capped_cells) {
+      const std::size_t r = i / caps.size(), k = i % caps.size();
+      spec.rack_cap_w = caps[k];
+      results[r][k] = run(r, spec);
+    } else {
+      spec.governor = govs[i - capped_cells];
+      gres[i - capped_cells] = run(2, spec);
+    }
+  });
 
   Table t("powercap_sweep", {"rack", "cap", "cap[W]", "makespan[s]", "energy[MJ]", "peak[W]",
                              "slowdown", "lvl chg"});
-  // results[rack][k] = capped at cap_fractions()[k] * ref_peak
-  std::vector<std::vector<core::MixResult>> results(racks.size());
-  std::vector<Watts> caps;
-  for (double f : cap_fractions()) caps.push_back(f * ref_peak);
   for (std::size_t r = 0; r < racks.size(); ++r) {
     auto add_row = [&](const char* cap_label, Watts cap_w, const core::MixResult& res) {
       t.add_row({Cell::txt(rack_names[r]), Cell::txt(cap_label),
@@ -87,10 +108,7 @@ Report build(Context& ctx) {
     };
     add_row("uncap", 0, base[r]);
     for (std::size_t k = 0; k < caps.size(); ++k) {
-      power::PowerPlanSpec spec;
-      spec.rack_cap_w = caps[k];
-      results[r].push_back(run(r, spec));
-      add_row(strf("%.0f%%", cap_fractions()[k] * 100).c_str(), caps[k], results[r].back());
+      add_row(strf("%.0f%%", cap_fractions()[k] * 100).c_str(), caps[k], results[r][k]);
     }
   }
   rep.add(std::move(t));
@@ -99,16 +117,9 @@ Report build(Context& ctx) {
   // are the other half of the run-time frequency story.
   Table g("governor_mix", {"governor", "makespan[s]", "energy[MJ]", "peak[W]", "ExT",
                           "lvl chg"});
-  const std::vector<power::GovernorKind> govs{power::GovernorKind::kPerformance,
-                                             power::GovernorKind::kOndemand,
-                                             power::GovernorKind::kPowersave};
-  std::vector<core::MixResult> gres;
-  for (auto gov : govs) {
-    power::PowerPlanSpec spec;
-    spec.governor = gov;
-    gres.push_back(run(2, spec));
-    const auto& res = gres.back();
-    g.add_row({Cell::txt(power::to_string(gov)), report::fixed(res.makespan, 1),
+  for (std::size_t k = 0; k < govs.size(); ++k) {
+    const auto& res = gres[k];
+    g.add_row({Cell::txt(power::to_string(govs[k])), report::fixed(res.makespan, 1),
                report::fixed(res.power.metered_energy / 1e6, 2),
                report::fixed(res.power.peak_draw, 0),
                report::sci(res.power.metered_energy * res.makespan),

@@ -49,12 +49,19 @@ Report build(Context& ctx) {
   Table t("service_sweep",
           {"rack", "load[j/s]", "jobs", "p50[s]", "p99[s]", "qdelay[s]", "util big",
            "util little", "kJ/job", "EDP"});
-  // results[rack][load]
-  std::vector<std::vector<core::ServiceResult>> results(racks.size());
+  // results[rack][load], one fanned-out cell each
+  const std::vector<double> loads = load_sweep();
+  std::vector<std::vector<core::ServiceResult>> results(
+      racks.size(), std::vector<core::ServiceResult>(loads.size()));
+  fan_out(ctx, racks.size() * loads.size(), [&](std::size_t i) {
+    const std::size_t r = i / loads.size(), k = i % loads.size();
+    results[r][k] =
+        core::simulate_service(ctx.ch, tenants, racks[r], service_opts(loads[k]), kCellThreads);
+  });
   for (std::size_t r = 0; r < racks.size(); ++r) {
-    for (double rate : load_sweep()) {
-      core::ServiceResult res =
-          core::simulate_service(ctx.ch, tenants, racks[r], service_opts(rate));
+    for (std::size_t k = 0; k < loads.size(); ++k) {
+      const core::ServiceResult& res = results[r][k];
+      const double rate = loads[k];
       double util_big = 0, util_little = 0;
       for (const auto& c : res.classes) {
         if (c.node_type == arch::xeon_e5_2420().name) util_big = c.slot_utilization;
@@ -68,7 +75,6 @@ Report build(Context& ctx) {
                                    std::max(1, res.measured_jobs) / 1e3,
                                1),
                  report::sci(res.service_edxp(1))});
-      results[r].push_back(std::move(res));
     }
   }
   rep.add(std::move(t));

@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bvl::core {
 namespace {
@@ -19,6 +20,11 @@ const perf::Pricer& find_or_make(Pricers& pricers, const arch::ServerConfig& ser
     if (it->second->server() == server) return *it->second;
   }
   return *pricers.emplace(key, make())->second;
+}
+
+// The key both trace caches share: the workload plus the engine inputs.
+std::string cache_key(wl::WorkloadId workload, const mr::JobConfig& cfg) {
+  return "wl=" + std::to_string(static_cast<int>(workload)) + " " + mr::trace_key(cfg);
 }
 
 }  // namespace
@@ -56,38 +62,76 @@ void Characterizer::set_cache_dir(const std::string& dir) {
 
 const mr::JobTrace& Characterizer::trace(const RunSpec& spec) {
   const mr::JobConfig cfg = config_for(spec);
-  const std::string key =
-      "wl=" + std::to_string(static_cast<int>(spec.workload)) + " " + mr::trace_key(cfg);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
+  const std::string key = cache_key(spec.workload, cfg);
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = cache_.find(key);
+  if (it != cache_.end()) return it->second;
+  auto pending = in_flight_.find(key);
+  if (pending != in_flight_.end()) {
+    // Someone is producing this trace: wait for it rather than run the
+    // same engine spec twice. get() rethrows their exception.
+    std::shared_future<const mr::JobTrace*> first = pending->second;
+    lock.unlock();
+    return *first.get();
   }
+  std::promise<const mr::JobTrace*> done;
+  in_flight_.emplace(key, done.get_future().share());
+  lock.unlock();
 
+  // Load or characterize outside the lock so distinct specs run in
+  // parallel.
+  try {
+    mr::JobTrace t = load_or_characterize(spec, cfg, key);
+    std::lock_guard<std::mutex> guard(mu_);
+    // std::map node stability keeps returned references valid forever.
+    const mr::JobTrace& stored = cache_.emplace(key, std::move(t)).first->second;
+    in_flight_.erase(key);
+    done.set_value(&stored);
+    return stored;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      in_flight_.erase(key);
+    }
+    done.set_exception(std::current_exception());
+    throw;
+  }
+}
+
+mr::JobTrace Characterizer::load_or_characterize(const RunSpec& spec, const mr::JobConfig& cfg,
+                                                 const std::string& key) {
   if (disk_) {
     if (auto cached = disk_->load(key)) {
       // The serialized form excludes the FaultPlan (an input, not an
       // output); reattach the spec's so the cached trace's config is
       // indistinguishable from a fresh characterization's.
       cached->config.fault = spec.fault;
-      std::lock_guard<std::mutex> lock(mu_);
-      return cache_.emplace(key, std::move(*cached)).first->second;
+      return std::move(*cached);
     }
   }
 
-  // Characterize outside the lock so distinct specs run in parallel.
   auto def = wl::make_workload(spec.workload);
+  engine_runs_.fetch_add(1);
   mr::JobTrace t = engine_.run(*def, cfg);
 
   // Best-effort publish for future processes; failure just means the
   // next run re-characterizes.
   if (disk_) disk_->store(key, t);
+  return t;
+}
 
-  // Two threads racing on the same key computed identical traces
-  // (engine determinism); keep whichever landed first. std::map node
-  // stability keeps returned references valid forever.
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.emplace(key, std::move(t)).first->second;
+void Characterizer::prefetch(const std::vector<RunSpec>& specs, int threads) {
+  std::vector<std::string> keys;
+  keys.reserve(specs.size());
+  for (const RunSpec& spec : specs) keys.push_back(cache_key(spec.workload, config_for(spec)));
+  std::vector<const RunSpec*> missing;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (cache_.count(keys[i]) == 0) missing.push_back(&specs[i]);
+    }
+  }
+  parallel_for(threads, missing.size(), [&](std::size_t i) { trace(*missing[i]); });
 }
 
 const perf::Pricer& Characterizer::pricer(const arch::ServerConfig& server,

@@ -5,10 +5,13 @@
 // in the paper's evaluation.
 #pragma once
 
+#include <atomic>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "arch/server_config.hpp"
 #include "core/char_cache.hpp"
@@ -52,10 +55,22 @@ class Characterizer {
                          Bytes target_exec_bytes = 16 * MB, std::uint64_t seed = 42);
 
   /// Machine-independent trace for the spec (cached). Thread-safe:
-  /// concurrent callers may characterize different specs in parallel
-  /// (cluster_sim prewarms the cache this way); a racing pair on the
-  /// same key computes the identical trace and the first insert wins.
+  /// concurrent callers may characterize different specs in parallel,
+  /// and a caller whose key is already being loaded or characterized
+  /// waits for that first caller instead of running the engine again.
+  /// If the first caller throws, every waiter gets its exception and
+  /// the key is forgotten, so a later call retries.
   const mr::JobTrace& trace(const RunSpec& spec);
+
+  /// Brings every spec's trace into memory, characterizing the missing
+  /// ones on a pool of at most `threads` workers (0 = hardware
+  /// concurrency, 1 = inline). Creates no pool when every trace is
+  /// already in memory. The rack replays pre-characterize this way.
+  void prefetch(const std::vector<RunSpec>& specs, int threads);
+
+  /// How many times this characterizer has run the engine, failed runs
+  /// included. Memory and disk hits do not count.
+  int engine_runs() const { return engine_runs_.load(); }
 
   /// Prices the spec's trace on `server` at the spec's operating
   /// point with the analytic (closed-form) pricer — the default every
@@ -87,7 +102,8 @@ class Characterizer {
   std::pair<perf::RunResult, perf::RunResult> run_pair(const RunSpec& spec);
 
   /// Worker-pool width each engine execution runs with (JobConfig::
-  /// exec_threads semantics: 0 = hardware concurrency, 1 = serial).
+  /// exec_threads semantics: 0 = hardware concurrency, 1 = serial),
+  /// and the width the figure builders fan their rack replays out at.
   /// Thread count never changes trace contents, so it is not part of
   /// the cache key.
   void set_exec_threads(int n) { exec_threads_ = n; }
@@ -114,6 +130,10 @@ class Characterizer {
   /// engine runs (mr::trace_key).
   mr::JobConfig config_for(const RunSpec& spec) const;
 
+  /// A trace read from disk, or else characterized by the engine.
+  mr::JobTrace load_or_characterize(const RunSpec& spec, const mr::JobConfig& cfg,
+                                    const std::string& key);
+
   hdfs::DfsConfig dfs_;
   perf::ClusterConfig cluster_;
   Bytes target_exec_;
@@ -121,8 +141,13 @@ class Characterizer {
   int exec_threads_ = 0;
   mr::Engine engine_;
   std::unique_ptr<CharCache> disk_;  ///< optional persistent trace cache
-  std::mutex mu_;  ///< guards cache_ and pricers_ (node refs stay stable)
+  std::mutex mu_;  ///< guards cache_, in_flight_ and pricers_ (node refs stay stable)
   std::map<std::string, mr::JobTrace> cache_;
+  /// Keys some caller is loading or characterizing right now. Later
+  /// callers of the key wait on the future; the entry is erased when
+  /// the first caller stores the trace or throws.
+  std::map<std::string, std::shared_future<const mr::JobTrace*>> in_flight_;
+  std::atomic<int> engine_runs_{0};
   /// Pricer cache keyed by (server name, pricer kind): the same server
   /// carries one closed-form and one event-driven pricer side by side.
   /// A hit also needs the pricer's server to equal the caller's in

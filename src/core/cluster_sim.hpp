@@ -173,8 +173,9 @@ struct MixResult {
 /// `exec_threads` sizes a worker pool that pre-characterizes every
 /// distinct job spec of the mix in parallel before the (deterministic,
 /// single-threaded) timeline replay — the engine runs dominate the
-/// cost. 0 = one worker per hardware thread, 1 = fully serial. The
-/// schedule is identical either way.
+/// cost. 0 = one worker per hardware thread, 1 = fully serial; no pool
+/// is created when every trace is already in memory
+/// (Characterizer::prefetch). The schedule is identical either way.
 MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
                        const std::vector<NodeSpec>& rack, MixPolicy policy,
                        int exec_threads = 0, const MixOptions& opts = {});

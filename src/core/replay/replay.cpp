@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bvl::core::replay {
 
@@ -93,7 +92,7 @@ Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
 
   // ---- Pre-characterize distinct job specs in parallel ----
   // The engine runs dominate; the timeline replay only consumes cached
-  // traces. Characterizer::trace is thread-safe.
+  // traces. A warm characterizer has them all and starts no pool.
   std::vector<RunSpec> distinct;
   for (const JobRequest& job : specs) {
     auto key = std::make_pair(static_cast<int>(job.workload), job.input_size);
@@ -103,7 +102,7 @@ Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
     spec.input_size = job.input_size;
     distinct.push_back(spec);
   }
-  parallel_for(exec_threads, distinct.size(), [&](std::size_t i) { ch.trace(distinct[i]); });
+  ch.prefetch(distinct, exec_threads);
 
   // ---- Render each distinct spec on each node type (and DVFS level) ----
   for (const RunSpec& spec : distinct) {

@@ -59,29 +59,36 @@ JobTrace Engine::run(JobDefinition& def, const JobConfig& cfg,
   const FaultSchedule fsched(cfg.fault);
   const bool faults = fsched.active();
 
-  // Executor pool, created lazily on the first multi-task phase and
-  // shared by the map and reduce waves. Tasks are pure functions of
-  // their index (the JobDefinition is only read), so executing them
-  // concurrently and merging the per-task results in task-index order
-  // below yields a trace that is bit-identical at any width.
-  const int exec_threads = ThreadPool::resolve(cfg.exec_threads);
-  trace.exec_threads_used = exec_threads;
-  std::unique_ptr<ThreadPool> pool;
-  auto run_tasks = [&](std::size_t n, const std::function<void(std::size_t)>& task) {
-    if (exec_threads > 1 && n > 1) {
-      if (!pool) pool = std::make_unique<ThreadPool>(exec_threads);
-      pool->parallel_for(n, task);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) task(i);
-    }
-  };
-
   const bool map_only = cfg.num_reducers == 0 || def.make_reducer() == nullptr;
   int reducers = map_only ? 0 : (cfg.num_reducers > 0 ? cfg.num_reducers : def.default_reducers());
   trace.config.num_reducers = reducers;
   trace.config.compress_map_output = cfg.compress_map_output || def.compress_map_output();
 
   auto blocks = hdfs::plan_blocks(cfg.input_size, cfg.block_size);
+
+  // Executor pool, created lazily on the first multi-task phase and
+  // shared by the map and reduce waves. Tasks are pure functions of
+  // their index (the JobDefinition is only read), so executing them
+  // concurrently and merging the per-task results in task-index order
+  // below yields a trace that is bit-identical at any width. The trace
+  // records the requested width; the pool itself is never wider than
+  // the larger wave, since extra workers would only idle.
+  const int exec_threads = ThreadPool::resolve(cfg.exec_threads);
+  trace.exec_threads_used = exec_threads;
+  const std::size_t widest_wave = std::max(blocks.size(), static_cast<std::size_t>(reducers));
+  std::unique_ptr<ThreadPool> pool;
+  auto run_tasks = [&](std::size_t n, const std::function<void(std::size_t)>& task) {
+    if (exec_threads > 1 && n > 1) {
+      if (!pool) {
+        pool = std::make_unique<ThreadPool>(static_cast<int>(
+            std::min(static_cast<std::size_t>(exec_threads), widest_wave)));
+      }
+      pool->parallel_for(n, task);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) task(i);
+    }
+  };
+
   Bytes exec_buffer =
       std::max<Bytes>(kMinExecBuffer,
                       static_cast<Bytes>(static_cast<double>(cfg.spill_buffer) / cfg.sim_scale));

@@ -41,10 +41,11 @@ struct JobConfig {
   double sim_scale = 1.0;
 
   /// Task-executor width: the engine runs the job's map tasks (and
-  /// then its reduce tasks) concurrently on a worker pool of this many
-  /// threads. 0 = one worker per hardware thread; 1 = the legacy
-  /// serial path. Task results are merged in task-index order, so the
-  /// emitted JobTrace is bit-identical for every value (verified by
+  /// then its reduce tasks) concurrently on a worker pool of up to this
+  /// many threads (no wider than the larger wave). 0 = one worker per
+  /// hardware thread; 1 = the legacy serial path. Task results are
+  /// merged in task-index order, so the emitted JobTrace is
+  /// bit-identical for every value (verified by
   /// tests/mapreduce/test_engine_parallel.cpp).
   int exec_threads = 0;
 

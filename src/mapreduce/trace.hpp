@@ -42,9 +42,10 @@ struct JobTrace {
   /// WorkCounters::scaled).
   bool combiner_saturated = false;
 
-  /// Resolved executor width the engine ran with (>= 1; config's
-  /// exec_threads = 0 resolves to the hardware thread count). Purely
-  /// informational — trace contents never depend on it.
+  /// Resolved executor width the engine was asked for (>= 1; config's
+  /// exec_threads = 0 resolves to the hardware thread count). The pool
+  /// itself never outgrows the job's widest wave. Purely informational
+  /// — trace contents never depend on it.
   int exec_threads_used = 1;
 
   std::size_t num_map_tasks() const { return map_tasks.size(); }

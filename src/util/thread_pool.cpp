@@ -1,18 +1,30 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace bvl {
 
 ThreadPool::ThreadPool(int threads) {
-  int n = resolve(threads);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
+  const int n = resolve(threads);
+  try {
+    workers_.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
+  } catch (const std::exception& e) {
+    // A joinable std::thread left behind would std::terminate, even
+    // with the exception caught: join the workers that did start.
+    const std::size_t started = workers_.size();
+    stop_and_join();
+    throw Error("ThreadPool: cannot start worker " + std::to_string(started + 1) + " of " +
+                std::to_string(n) + " (" + e.what() + ")");
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -127,12 +139,12 @@ int ThreadPool::resolve(int requested) {
 }
 
 void parallel_for(int threads, std::size_t n, const std::function<void(std::size_t)>& fn) {
-  int resolved = ThreadPool::resolve(threads);
-  if (resolved <= 1 || n <= 1) {
+  const std::size_t width = std::min(static_cast<std::size_t>(ThreadPool::resolve(threads)), n);
+  if (width <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(resolved);
+  ThreadPool pool(static_cast<int>(width));
   pool.parallel_for(n, fn);
 }
 

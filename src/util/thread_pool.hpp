@@ -1,6 +1,6 @@
 // Fixed-size worker pool with a chunked work queue, used by the
-// MapReduce engine to execute task waves and by the cluster simulator
-// to warm characterization caches.
+// MapReduce engine to execute task waves, by the characterizer to
+// prefetch traces and by the figure builders to fan out rack replays.
 //
 // Design constraints (see DESIGN.md "Threading model"):
 //  * Workers never see partial work items: submit() enqueues whole
@@ -36,7 +36,9 @@ class ThreadPool {
   using TaskId = std::size_t;
 
   /// Spawns `threads` workers (resolved via resolve(), so 0 means one
-  /// per hardware thread).
+  /// per hardware thread). Throws bvl::Error when a worker cannot be
+  /// started, after joining the ones that were. Callers size a pool to
+  /// at most its task count: workers beyond it would only idle.
   explicit ThreadPool(int threads);
 
   /// Destruction with work still queued is safe: the workers drain
@@ -85,6 +87,7 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  void stop_and_join();
 
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers: queue non-empty or stopping
@@ -98,9 +101,10 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// One-shot convenience: parallel_for on a temporary pool when
-/// `threads` > 1 and `n` > 1, otherwise inline on the caller (the
-/// serial path — exceptions then propagate directly).
+/// One-shot convenience: parallel_for on a temporary pool of
+/// min(resolve(threads), n) workers when that is more than one,
+/// otherwise inline on the caller (the serial path — exceptions then
+/// propagate directly).
 void parallel_for(int threads, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace bvl

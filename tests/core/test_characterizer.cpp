@@ -2,11 +2,71 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/classifier.hpp"
 #include "util/error.hpp"
 
 namespace bvl::core {
 namespace {
+
+/// What one concurrent trace() call saw: the trace, or the type of
+/// what it threw. Waiters of a failed key share one exception object,
+/// and libstdc++ releases it through a reference count TSan cannot
+/// see, so the threads never read its message.
+struct CallOutcome {
+  const mr::JobTrace* trace = nullptr;
+  std::string thrown;  ///< "", "bvl::Error" or "other"
+};
+
+/// Releases `callers` threads at once, each asking `ch` for `spec`, and
+/// returns what each saw. The wait is bounded: a caller still blocked
+/// after two minutes means a leaked in-flight entry, and the test
+/// aborts instead of hanging until the runner's timeout.
+std::vector<CallOutcome> trace_concurrently(Characterizer& ch, const RunSpec& spec, int callers) {
+  std::vector<CallOutcome> out(static_cast<std::size_t>(callers));
+  std::mutex mu;
+  std::condition_variable cv;
+  int finished = 0;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < callers; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      CallOutcome o;
+      try {
+        o.trace = &ch.trace(spec);
+      } catch (const Error&) {
+        o.thrown = "bvl::Error";
+      } catch (...) {
+        o.thrown = "other";
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      out[static_cast<std::size_t>(i)] = o;
+      ++finished;
+      cv.notify_all();
+    });
+  }
+  go.store(true);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::minutes(2), [&] { return finished == callers; })) {
+      std::fprintf(stderr, "%d of %d trace() callers still blocked\n", callers - finished,
+                   callers);
+      std::abort();
+    }
+  }
+  for (std::thread& t : threads) t.join();
+  return out;
+}
 
 TEST(Characterizer, TraceCachedAcrossOperatingPoints) {
   Characterizer ch;
@@ -82,6 +142,57 @@ TEST(Characterizer, SameNameServersArePricedAsThemselves) {
   }
   warm.event_pricer(arch::xeon_e5_2420(), sim::NicPresetId::k10GbE);
   EXPECT_EQ(warm.event_pricer(narrow, sim::NicPresetId::k10GbE).server(), narrow);
+}
+
+TEST(Characterizer, ConcurrentCallersShareOneCharacterization) {
+  Characterizer ch;
+  ch.set_exec_threads(1);
+  RunSpec spec;
+  spec.workload = wl::WorkloadId::kWordCount;
+  spec.input_size = 64 * MB;
+  for (const CallOutcome& c : trace_concurrently(ch, spec, 8)) {
+    EXPECT_EQ(c.thrown, "");
+    EXPECT_EQ(c.trace, &ch.trace(spec));
+  }
+  EXPECT_EQ(ch.engine_runs(), 1);
+}
+
+TEST(Characterizer, FailedCharacterizationReachesEveryWaiterAndRetries) {
+  // Reduce task 0 dies on its only attempt, so every engine run throws,
+  // and only after its map wave: late enough that the other callers
+  // are waiting on the first one by then.
+  Characterizer ch;
+  ch.set_exec_threads(1);
+  RunSpec spec;
+  spec.workload = wl::WorkloadId::kWordCount;
+  spec.input_size = 64 * MB;
+  spec.fault.max_attempts = 1;
+  spec.fault.events.push_back({mr::FaultKind::kFail, mr::TaskPhase::kReduce, 0, 0, 0.5, 4.0, 0});
+  for (const CallOutcome& c : trace_concurrently(ch, spec, 8)) {
+    EXPECT_EQ(c.trace, nullptr);
+    EXPECT_EQ(c.thrown, "bvl::Error");
+  }
+  // The failure is not cached: a later call runs the engine again.
+  const int runs = ch.engine_runs();
+  EXPECT_GE(runs, 1);
+  EXPECT_THROW(ch.trace(spec), Error);
+  EXPECT_EQ(ch.engine_runs(), runs + 1);
+}
+
+TEST(Characterizer, PrefetchCharacterizesEachMissingSpecOnce) {
+  Characterizer ch;
+  ch.set_exec_threads(1);
+  RunSpec wc;
+  wc.workload = wl::WorkloadId::kWordCount;
+  wc.input_size = 64 * MB;
+  RunSpec gp = wc;
+  gp.workload = wl::WorkloadId::kGrep;
+  ch.prefetch({wc, gp, wc}, 4);
+  EXPECT_EQ(ch.engine_runs(), 2);
+  ch.prefetch({gp, wc}, 4);  // all in memory: nothing runs
+  EXPECT_EQ(ch.engine_runs(), 2);
+  EXPECT_EQ(ch.trace(wc).workload, "WordCount");
+  EXPECT_EQ(ch.engine_runs(), 2);
 }
 
 TEST(Characterizer, RejectsTinyExecutionTarget) {

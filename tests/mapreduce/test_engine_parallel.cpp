@@ -124,5 +124,19 @@ TEST(EngineParallel, AutoWidthResolvesToHardwareAndStaysDeterministic) {
   expect_trace_eq(e.run(*b, cfg), t_auto);
 }
 
+TEST(EngineParallel, WidthBeyondTheTaskCountIsRecordedAsRequested) {
+  // The pool never outgrows the widest wave, but the trace (and so a
+  // cache file written from it) records the width asked for.
+  Engine e;
+  JobConfig cfg = parallel_config();
+  auto a = wl::make_workload(wl::WorkloadId::kWordCount);
+  auto b = wl::make_workload(wl::WorkloadId::kWordCount);
+  cfg.exec_threads = 1000;
+  JobTrace wide = e.run(*a, cfg);
+  EXPECT_EQ(wide.exec_threads_used, 1000);
+  cfg.exec_threads = 1;
+  expect_trace_eq(e.run(*b, cfg), wide);
+}
+
 }  // namespace
 }  // namespace bvl::mr

@@ -119,6 +119,27 @@ TEST(Figures, AblateReusesTheTraceCache) {
   fs::remove_all(dir);
 }
 
+TEST(Figures, FannedOutGroupsAreWidthInvariant) {
+  // These groups fan their rack replays out over a pool as wide as
+  // --threads. Width 4 goes first, on an empty cache directory, so
+  // concurrent cells also share cold characterizations; width 1 then
+  // replays every cell inline from the disk cache.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "fan_out_trace_cache";
+  fs::remove_all(dir);
+  for (int width : {4, 1}) {
+    core::Characterizer ch;
+    ch.set_exec_threads(width);
+    ch.set_cache_dir(dir.string());
+    report::Context ctx{ch, std::nullopt};
+    for (const char* group : {"service", "powercap", "fabric", "fabric_crossover"}) {
+      SCOPED_TRACE(std::string(group) + " at width " + std::to_string(width));
+      EXPECT_EQ(report::render_text(registry().build(group, ctx)), read_golden(group));
+    }
+  }
+  fs::remove_all(dir);
+}
+
 TEST(Figures, EveryTableYieldsLedgerRows) {
   // Reuses the trace cache warmed by the golden test when run in one
   // process; cheap either way for a single group.

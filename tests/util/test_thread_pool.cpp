@@ -1,8 +1,13 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +17,16 @@
 
 namespace bvl {
 namespace {
+
+/// Threads in this process per /proc/self/status, or -1 off Linux.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   const std::size_t n = 1000;
@@ -161,6 +176,23 @@ TEST(ThreadPool, FreeParallelForSerialFallback) {
   std::atomic<int> sum{0};
   parallel_for(8, 100, [&](std::size_t) { sum.fetch_add(1); });
   EXPECT_EQ(sum.load(), 100);
+}
+
+TEST(ThreadPool, FreeParallelForSizesItsPoolToTheTaskCount) {
+  // A width far beyond the work spawns no idle workers: 3 indices run
+  // on at most 3 threads, and the process never holds the other 997.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  const int before = process_threads();
+  int most_threads = before;
+  parallel_for(1000, 3, [&](std::size_t) {
+    const int threads = process_threads();
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+    most_threads = std::max(most_threads, threads);
+  });
+  EXPECT_LE(ids.size(), 3u);
+  EXPECT_LE(most_threads - before, 3);  // both read -1 off Linux
 }
 
 }  // namespace
