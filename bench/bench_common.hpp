@@ -7,7 +7,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/characterizer.hpp"
@@ -45,32 +47,58 @@ inline void print_shared_flag_help(const char* prog) {
   std::printf("  --help        this message\n");
 }
 
+/// Rejects a malformed flag value: prints why and exits 2.
+[[noreturn]] inline void reject_flag(const char* prog, const char* flag, const char* expected,
+                                     const std::string& value) {
+  std::fprintf(stderr, "%s: invalid %s value '%s' (expected %s)\n", prog, flag, value.c_str(),
+               expected);
+  std::exit(2);
+}
+
+/// One of a binary's own flags, which init() leaves to the binary. A
+/// `valued` flag's bare form `--flag VALUE` also owns the next argument.
+struct OwnFlag {
+  std::string_view name;
+  bool valued = false;
+};
+
 /// Parses the flags shared by every bench and applies them to the
 /// shared characterizer:
 ///   --threads N | --threads=N       width of every worker pool
 ///   --cache-dir D | --cache-dir=D   persistent trace cache directory
 ///   --help                          print the shared flags and exit
-/// Malformed --threads values are rejected with an error (exit 2)
-/// instead of atoi's silent 0; so is a valueless --cache-dir. Unknown
-/// arguments are left alone so benches can layer their own flags
-/// (e.g. --json).
-inline void init(int argc, char** argv) {
-  auto reject = [&](const char* flag, const char* expected, const std::string& value) {
-    std::fprintf(stderr, "%s: invalid %s value '%s' (expected %s)\n", argv[0], flag,
-                 value.c_str(), expected);
-    std::exit(2);
-  };
+/// `own` lists the binary's own flags (e.g. --json), which it parses
+/// itself. Malformed --threads values are rejected with an error (exit
+/// 2) instead of atoi's silent 0; so is a valueless --cache-dir, and so
+/// is any argument that is neither shared nor in `own`, before the
+/// binary runs anything.
+inline void init(int argc, char** argv, std::initializer_list<OwnFlag> own = {}) {
   // Pulls the flag's value out of argv, consuming the next entry for
   // the bare `--flag VALUE` form; exits 2 when the value is missing.
   auto flag_value = [&](int& i, const char* flag, const char* expected,
                         FlagMatch m) -> std::string_view {
     if (m == FlagMatch::kNeedsValue) {
-      if (i + 1 >= argc) reject(flag, expected, "<missing>");
+      if (i + 1 >= argc) reject_flag(argv[0], flag, expected, "<missing>");
       return argv[++i];
     }
     std::string_view inline_value;
     match_flag(argv[i], flag, &inline_value);
     return inline_value;
+  };
+  // Matches one of `own`, stepping over a bare valued flag's value (a
+  // missing one is the binary's parser's to reject).
+  auto own_flag = [&](int& i) {
+    for (const OwnFlag& f : own) {
+      if (!f.valued) {
+        if (argv[i] == f.name) return true;
+        continue;
+      }
+      FlagMatch m = match_flag(argv[i], f.name, nullptr);
+      if (m == FlagMatch::kNoMatch) continue;
+      if (m == FlagMatch::kNeedsValue && i + 1 < argc) ++i;
+      return true;
+    }
+    return false;
   };
   int threads = 0;
   std::string cache_dir;
@@ -83,12 +111,15 @@ inline void init(int argc, char** argv) {
     if (FlagMatch m = match_flag(a, "--threads", nullptr); m != FlagMatch::kNoMatch) {
       std::string_view value = flag_value(i, "--threads", "a non-negative integer", m);
       auto parsed = parse_non_negative_int(value);
-      if (!parsed) reject("--threads", "a non-negative integer", std::string(value));
+      if (!parsed) reject_flag(argv[0], "--threads", "a non-negative integer", std::string(value));
       threads = *parsed;
     } else if (FlagMatch m2 = match_flag(a, "--cache-dir", nullptr); m2 != FlagMatch::kNoMatch) {
       std::string_view value = flag_value(i, "--cache-dir", "a directory path", m2);
-      if (value.empty()) reject("--cache-dir", "a directory path", std::string(value));
+      if (value.empty()) reject_flag(argv[0], "--cache-dir", "a directory path", "");
       cache_dir = value;
+    } else if (!own_flag(i)) {
+      std::fprintf(stderr, "%s: unknown option '%s' (try --help)\n", argv[0], argv[i]);
+      std::exit(2);
     }
   }
   characterizer().set_exec_threads(threads);

@@ -202,14 +202,19 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   // Strip --threads and --json before google-benchmark sees the arg
-  // list (it rejects flags it does not know).
+  // list (it rejects flags it does not know). A malformed --threads
+  // exits 2, as in every other bench.
   std::string json_path;
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      g_threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      g_threads = std::atoi(argv[i] + 10);
+    std::string_view value;
+    if (FlagMatch m = match_flag(argv[i], "--threads", &value); m != FlagMatch::kNoMatch) {
+      if (m == FlagMatch::kNeedsValue) value = i + 1 < argc ? argv[++i] : "<missing>";
+      auto parsed = parse_non_negative_int(value);
+      if (!parsed) {
+        bench::reject_flag(argv[0], "--threads", "a non-negative integer", std::string(value));
+      }
+      g_threads = *parsed;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
@@ -218,7 +223,6 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
-  if (g_threads < 0) g_threads = 0;
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;

@@ -223,7 +223,13 @@ int main(int argc, char** argv) {
     std::string a = argv[i];
     std::string value;
     if (valued(a, i, "--events", &value)) {
-      n = static_cast<std::size_t>(std::strtoull(value.c_str(), nullptr, 10));
+      auto parsed = bvl::parse_non_negative_int(value);
+      if (!parsed || *parsed == 0) {
+        std::fprintf(stderr, "%s: invalid --events value '%s' (expected a positive integer)\n",
+                     argv[0], value.c_str());
+        return 2;
+      }
+      n = static_cast<std::size_t>(*parsed);
     } else if (valued(a, i, "--json", &json)) {
     } else if (a == "--help" || a == "-h") {
       std::printf("usage: %s [--events N] [--json PATH]\n", argv[0]);

@@ -116,7 +116,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  bench::init(argc, argv);  // strict --threads handling
+  bench::init(argc, argv,
+              {{"--list"}, {"--all"}, {"--check"}, {"--run", true}, {"--json", true},
+               {"--csv", true}, {"--policy", true}});  // strict --threads handling
 
   if (list) {
     for (const auto& def : registry.figures()) {

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "core/metrics.hpp"
@@ -22,12 +23,17 @@ namespace {
 using replay::Node;
 using replay::TaskRef;
 
-/// A batch task awaiting dispatch, stamped with the instant and replay
-/// epoch of its last deferral.
+/// A batch task awaiting dispatch, with its decision class: the tasks
+/// one deferral stamp covers.
 struct PendingTask {
   TaskRef tr;
-  Seconds deferred_at = std::numeric_limits<double>::quiet_NaN();
-  std::uint64_t deferred_epoch = 0;
+  std::size_t cls = 0;  ///< index into simulate_mix's deferral stamps
+};
+
+/// The instant and replay epoch of a decision class's last deferral.
+struct DeferralStamp {
+  Seconds at = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t epoch = 0;
 };
 
 }  // namespace
@@ -45,26 +51,39 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
   replay::Replay r(ch, rack, jobs, opts, policy, exec_threads, "simulate_mix");
 
   // ---- Jobs + the task queue (job order, maps before reduces) ----
+  // A task's decision class is (profile row, phase, task index) under a
+  // score-determined policy: such tasks read the same render on every
+  // node type and share prefers_big, so pick() cannot tell them apart.
+  // Under any other policy it is (job, phase, task index), the task.
+  const bool shared = r.policy().score_determined();
+  std::map<std::tuple<std::size_t, int, std::size_t>, std::size_t> classes;
   std::vector<PendingTask> pending;
+  auto enqueue = [&](std::size_t j, int phase, std::size_t i) {
+    const std::size_t owner = shared ? r.jobs[j].spec : j;
+    const std::size_t cls = classes.try_emplace({owner, phase, i}, classes.size()).first->second;
+    pending.push_back({r.task_ref(j, phase, i), cls});
+  };
   for (const JobRequest& job : jobs) {
     std::size_t j = r.add_job(job);
     const perf::JobSim& p = r.profile(j, 0);
-    for (std::size_t i = 0; i < p.map_tasks.size(); ++i) pending.push_back({r.task_ref(j, 0, i)});
-    for (std::size_t i = 0; i < p.reduce_tasks.size(); ++i) {
-      pending.push_back({r.task_ref(j, 1, i)});
-    }
+    for (std::size_t i = 0; i < p.map_tasks.size(); ++i) enqueue(j, 0, i);
+    for (std::size_t i = 0; i < p.reduce_tasks.size(); ++i) enqueue(j, 1, i);
   }
+  std::vector<DeferralStamp> stamps(classes.size());
   /// Per job: tasks by flat node id, for the schedule's node_index.
   std::vector<std::map<std::size_t, int>> tasks_by_node(jobs.size());
 
   // The pluggable placement layer: the policy object scores the
   // candidates this source enumerates (flat order — the historical
-  // scan order, so ties land on the same node the inline code chose).
-  // kNoNode = nothing suitable free; a full pick = defer the task
-  // until a completion re-runs dispatch (safe: a full node implies a
-  // running task whose completion re-enters the dispatcher). A deferred
-  // task is not re-scored until the clock or the replay epoch moves:
-  // pick() and admit() read nothing else, so they would defer it again.
+  // scan order, so ties land on the same node the inline code chose —
+  // less idle nodes that cannot win). kNoNode = nothing suitable free;
+  // a full pick = defer the task until a completion re-runs dispatch
+  // (safe: a full node implies a running task whose completion
+  // re-enters the dispatcher). A deferral stamps the task's class, and
+  // no task of that class is re-scored until the clock or the replay
+  // epoch moves: pick() and admit() read nothing else, and a refused
+  // admit() leaves its node at the bottom level, so they would defer
+  // it again.
   replay::FlatCandidateSource candidates(r);
   int tasks_left = static_cast<int>(pending.size());
   r.on_task_done = [&](std::size_t, int, std::size_t) { --tasks_left; };
@@ -73,8 +92,9 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
     while (progress) {
       progress = false;
       for (auto it = pending.begin(); it != pending.end();) {
+        DeferralStamp& stamp = stamps[it->cls];
         if ((it->tr.phase == 1 && !r.jobs[it->tr.job].reduces_ready) ||
-            (it->deferred_at == r.sim.now() && it->deferred_epoch == r.epoch())) {
+            (stamp.at == r.sim.now() && stamp.epoch == r.epoch())) {
           ++it;
           continue;
         }
@@ -84,8 +104,7 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
           // waiting for (ETF), or the cap defers admission: leave the
           // task pending; the next task completion (or control tick)
           // re-runs dispatch.
-          it->deferred_at = r.sim.now();
-          it->deferred_epoch = r.epoch();
+          stamp = {r.sim.now(), r.epoch()};
           ++it;
           continue;
         }

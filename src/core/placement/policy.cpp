@@ -40,6 +40,8 @@ class RoundRobinPolicy final : public PlacementPolicy {
     Candidate c = nodes.at(task.rr_node);
     return c.free ? c.flat : kNoNode;
   }
+  /// Reads the task's own `rr_node`.
+  bool score_determined() const override { return false; }
 };
 
 /// Class-blind ETF: soonest estimated finish wins, ties to the first
@@ -57,6 +59,7 @@ class EarliestFinishPolicy final : public PlacementPolicy {
     }
     return best;
   }
+  bool score_determined() const override { return true; }
 };
 
 /// Paper policy, task-granular: a free slot on the job's
@@ -86,6 +89,7 @@ class ClassAwarePolicy final : public PlacementPolicy {
     }
     return best;
   }
+  bool score_determined() const override { return true; }
 };
 
 /// Fabric-feedback-aware ETF: est_finish plus a locality penalty —
@@ -111,6 +115,9 @@ class RackLocalPolicy final : public PlacementPolicy {
     }
     return best;
   }
+  /// A penalty reads the job's map homes and, for a reduce, whether the
+  /// candidate is itself one; without it the policy is earliest-finish.
+  bool score_determined() const override { return !penalized(); }
 
  private:
   bool penalized() const { return fabric_ != nullptr && fabric_->has_spine(); }

@@ -6,12 +6,15 @@
 // candidate enumeration.
 //
 // Contract the adapters are written against (and the goldens pin):
-// placement is a pure function of the candidates presented. A policy
-// never mutates node state, and ties break by enumeration order via
-// strict less-than — first candidate wins — so a CandidateSource must
-// enumerate in the replay's historical scan order (batch: flat node
-// order; service: per-type index fronts in type order) for the three
-// legacy policies to reproduce their decisions bit for bit.
+// placement is a pure function of the task context and the candidates
+// presented. A policy never mutates node state, and ties break by
+// enumeration order via strict less-than — first candidate wins — so a
+// CandidateSource must enumerate in the replay's historical scan order
+// (batch: flat node order, less candidates the source proves cannot
+// win; service: per-type index fronts in type order) for the legacy
+// policies to reproduce their decisions bit for bit. A policy that is
+// score_determined() lets the batch source drop such candidates and
+// the batch driver share one deferral among tasks it cannot tell apart.
 #pragma once
 
 #include <cstddef>
@@ -116,6 +119,14 @@ class PlacementPolicy {
   /// currently-full node: that is the ETF "worth waiting for" signal
   /// and the driver defers dispatch until a slot frees.
   virtual std::size_t pick(const TaskContext& task, CandidateSource& nodes) const = 0;
+  /// True when pick() reads the task only through the candidates'
+  /// est_finish (its per-type renders), `phase` and `prefers_big`, and
+  /// each candidate only through `is_big`, `free`, `rack` and
+  /// `est_finish`, using `flat` only as the first-wins tie-break. Then
+  /// two tasks with equal renders, phase and preference get the same
+  /// pick, and a candidate equal in those four fields to an earlier one
+  /// can never win.
+  virtual bool score_determined() const = 0;
 };
 
 /// Policy factory. `fabric` (may be null) is the live fabric the

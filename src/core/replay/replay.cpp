@@ -27,6 +27,41 @@ void Candidates::bind(const TaskRef& tr) {
   for (std::size_t t = 0; t < task_.size(); ++t) task_[t] = &replay_.task(tr, static_cast<int>(t));
 }
 
+FlatCandidateSource::FlatCandidateSource(const Replay& replay)
+    : Candidates(replay), collapse_(replay.policy().score_determined()) {
+  const int racks = 1 + *std::max_element(replay.rack_of.begin(), replay.rack_of.end());
+  for (std::size_t i = 0; i < replay.nodes.size(); ++i) {
+    group_.push_back(static_cast<std::size_t>(replay.nodes[i].type_id * racks + replay.rack_of[i]));
+  }
+  kept_.resize(replay.types.size() * static_cast<std::size_t>(racks));
+  scratch_.reserve(replay.nodes.size());
+}
+
+const std::vector<placement::Candidate>& FlatCandidateSource::all() {
+  if (at_ != replay_.sim.now() || epoch_ != replay_.epoch()) collect();
+  for (placement::Candidate& c : scratch_) {
+    const EtfTerms& e = replay_.etf(c.flat);
+    c.free = e.free;
+    c.est_finish = e.est_finish(task_on(c.flat));
+  }
+  return scratch_;
+}
+
+void FlatCandidateSource::collect() {
+  at_ = replay_.sim.now();
+  epoch_ = replay_.epoch();
+  scratch_.clear();
+  std::fill(kept_.begin(), kept_.end(), false);
+  for (std::size_t i = 0; i < group_.size(); ++i) {
+    const EtfTerms& e = replay_.etf(i);
+    if (collapse_ && e.free && e.disk_delay == 0 && e.nic_delay == 0) {
+      if (kept_[group_[i]]) continue;
+      kept_[group_[i]] = true;
+    }
+    scratch_.push_back({i, replay_.is_big[i], false, replay_.rack_of[i], 0});
+  }
+}
+
 Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
                const std::vector<JobRequest>& specs, const MixOptions& opts, MixPolicy policy,
                int exec_threads, const char* where)

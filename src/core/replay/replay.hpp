@@ -142,10 +142,12 @@ class Replay {
   /// Advances on every start_task, every task_done and every power
   /// level change: at one instant, nothing else changes what pick()
   /// and admit() read, so a task deferred at the same (now, epoch)
-  /// would be deferred again.
+  /// would be deferred again, and no node's terms have changed.
   std::uint64_t epoch() const {
     return events_ + (power != nullptr ? static_cast<std::uint64_t>(power->level_changes()) : 0);
   }
+  /// The placement policy pick() consults.
+  const placement::PlacementPolicy& policy() const { return *policy_; }
   /// The placement policy's node for `tr` among `candidates`, or
   /// placement::kNoNode to defer. May name a full node: the ETF
   /// "worth waiting for" signal, on which the driver defers too.
@@ -202,28 +204,30 @@ inline const perf::SimTask& Candidates::task_on(std::size_t flat) const {
   return *task_[static_cast<std::size_t>(replay_.nodes[flat].type_id)];
 }
 
-/// Batch-replay candidate source: every node in flat order, the
+/// Batch-replay candidate source: the nodes in flat order, the
 /// historical full-scan order the goldens pin (placement ties break to
-/// the first candidate). The candidate vector lives across picks: the
-/// static fields are written once, and each all() rewrites only `free`
-/// and `est_finish`.
+/// the first candidate), less the idle nodes that cannot win. A node
+/// that is free with no disk and no NIC (or fabric ingress) backlog at
+/// now is idle: its terms are {delay 0, disk 0, nic 0, free}, so every
+/// task scores it exactly like every other idle node of its (type,
+/// rack) group, and a score-determined policy only ever picks the
+/// group's first. The list holds that first idle node of each group
+/// plus every full or backlogged node; under any other policy it holds
+/// every node. It is rebuilt only when (now, epoch) moves, and each
+/// all() rescores only the list, writing `free` and `est_finish`.
 class FlatCandidateSource final : public Candidates {
  public:
-  explicit FlatCandidateSource(const Replay& replay) : Candidates(replay) {
-    scratch_.reserve(replay.nodes.size());
-    for (std::size_t i = 0; i < replay.nodes.size(); ++i) {
-      scratch_.push_back({i, replay.is_big[i], false, replay.rack_of[i], 0});
-    }
-  }
+  explicit FlatCandidateSource(const Replay& replay);
+  const std::vector<placement::Candidate>& all() override;
 
-  const std::vector<placement::Candidate>& all() override {
-    for (placement::Candidate& c : scratch_) {
-      const EtfTerms& e = replay_.etf(c.flat);
-      c.free = e.free;
-      c.est_finish = e.est_finish(task_on(c.flat));
-    }
-    return scratch_;
-  }
+ private:
+  void collect();
+
+  bool collapse_;                   ///< the policy is score-determined
+  std::vector<std::size_t> group_;  ///< per node: its (type, rack) group
+  std::vector<bool> kept_;          ///< per group: its idle node is listed
+  Seconds at_ = std::numeric_limits<double>::quiet_NaN();  ///< the list's now
+  std::uint64_t epoch_ = 0;                                ///< the list's epoch
 };
 
 }  // namespace bvl::core::replay

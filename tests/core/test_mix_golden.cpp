@@ -9,8 +9,15 @@
 // node_index; each node's tasks_run and busy_slot_s; the PowerStats,
 // realized frequency plans included). A dispatcher rewrite that starts
 // one task on another node, or one tick later, changes a line.
+//
+// tests/golden/BATCH_RACK.golden pins the same fields at rack scale,
+// where the dispatcher's idle-node collapse and shared deferral stamps
+// do their work: bvl_bench's batch_rack queue (64 ten-GB jobs, five
+// distinct specs) on the 141-node heterogeneous rack, one line per
+// policy and mode.
+//
 // Regenerate (only after an *intentional* scheduling change) with:
-//   BVL_UPDATE_GOLDEN=1 ./build/tests/test_core --gtest_filter='MixGolden.*'
+//   BVL_UPDATE_GOLDEN=1 ./build/tests/test_core --gtest_filter='MixGolden.*:BatchRackGolden.*'
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +35,7 @@
 namespace bvl::core {
 namespace {
 
-std::string fixture_path() { return std::string(BVL_GOLDEN_DIR) + "/MIX.golden"; }
+std::string fixture_path(const char* name) { return std::string(BVL_GOLDEN_DIR) + "/" + name; }
 
 std::string hex(double v) {
   char buf[64];
@@ -125,6 +132,12 @@ std::string render(const MixResult& r) {
   return os.str();
 }
 
+std::string fingerprint(const MixResult& r) {
+  char id[32];
+  std::snprintf(id, sizeof(id), "%016llx", static_cast<unsigned long long>(fnv1a(render(r))));
+  return " makespan=" + hex(r.makespan) + " energy=" + hex(r.total_energy) + " fp=" + id;
+}
+
 /// One fixture line per configuration.
 std::string render_all() {
   Characterizer ch;
@@ -138,12 +151,8 @@ std::string render_all() {
           for (bool fabric : {false, true}) {
             MixResult r = simulate_mix(ch, jobs(), racks[ri], policy, 1,
                                        options(racks[ri], mode, slowstart, fabric));
-            char id[32];
-            std::snprintf(id, sizeof(id), "%016llx",
-                          static_cast<unsigned long long>(fnv1a(render(r))));
             out << to_string(policy) << " rack" << ri << ' ' << mode.name << " slowstart="
-                << slowstart << " fabric=" << fabric << " makespan=" << hex(r.makespan)
-                << " energy=" << hex(r.total_energy) << " fp=" << id << '\n';
+                << slowstart << " fabric=" << fabric << fingerprint(r) << '\n';
           }
         }
       }
@@ -152,21 +161,85 @@ std::string render_all() {
   return out.str();
 }
 
-TEST(MixGolden, BatchDispatchMatchesFixture) {
-  std::string live = render_all();
-  if (std::getenv("BVL_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream f(fixture_path());
-    ASSERT_TRUE(f.good()) << "cannot write " << fixture_path();
-    f << live;
-    GTEST_SKIP() << "fixture regenerated at " << fixture_path();
+/// bvl_bench's batch_rack queue: the fabric figures' eight-job mix,
+/// eight times over.
+std::vector<JobRequest> rack_jobs() {
+  const std::vector<JobRequest> mix = {
+      {wl::WorkloadId::kWordCount, 10 * GB},  {wl::WorkloadId::kSort, 10 * GB},
+      {wl::WorkloadId::kGrep, 10 * GB},       {wl::WorkloadId::kTeraSort, 10 * GB},
+      {wl::WorkloadId::kNaiveBayes, 10 * GB}, {wl::WorkloadId::kWordCount, 10 * GB},
+      {wl::WorkloadId::kSort, 10 * GB},       {wl::WorkloadId::kGrep, 10 * GB}};
+  std::vector<JobRequest> out;
+  for (int c = 0; c < 8; ++c) out.insert(out.end(), mix.begin(), mix.end());
+  return out;
+}
+
+enum class RackMode { kPlain, kFabric, kCapped };
+
+/// The rack-scale cap over the liveness floor: ondemand's uncapped peak
+/// is about 1.85 times the floor on this queue, so the cap binds.
+constexpr double kRackCapOverFloor = 1.3;
+
+/// Plain; four racks striped over the flat order behind a 4:1, 4-link
+/// spine; or ondemand under a cap that binds.
+MixOptions rack_options(const std::vector<NodeSpec>& rack, RackMode mode) {
+  MixOptions opts;
+  if (mode == RackMode::kFabric) {
+    int nodes = 0;
+    for (const auto& spec : rack) nodes += spec.count;
+    opts.fabric.modeled = true;
+    for (int i = 0; i < nodes; ++i) opts.fabric.topology.rack_of.push_back(i % 4);
+    opts.fabric.topology.spine_oversub = 4.0;
+    opts.fabric.topology.spine_multipath = 4;
+  } else if (mode == RackMode::kCapped) {
+    opts.power.governor = power::GovernorKind::kOndemand;
+    opts.power.rack_cap_w = kRackCapOverFloor * liveness_floor(rack);
   }
-  std::ifstream f(fixture_path());
-  ASSERT_TRUE(f.good()) << "missing fixture " << fixture_path()
-                        << " (run once with BVL_UPDATE_GOLDEN=1)";
+  return opts;
+}
+
+/// One fixture line per (policy, mode) of the rack-scale set.
+std::string render_rack() {
+  struct Config {
+    MixPolicy policy;
+    RackMode mode;
+    const char* name;
+  };
+  constexpr Config kConfigs[] = {
+      {MixPolicy::kEarliestFinish, RackMode::kPlain, "plain"},
+      {MixPolicy::kEarliestFinish, RackMode::kFabric, "fabric"},
+      {MixPolicy::kEarliestFinish, RackMode::kCapped, "ondemand-cap"},
+      {MixPolicy::kClassAware, RackMode::kPlain, "plain"},
+      {MixPolicy::kClassAware, RackMode::kFabric, "fabric"},
+      {MixPolicy::kClassAware, RackMode::kCapped, "ondemand-cap"},
+      {MixPolicy::kRoundRobin, RackMode::kPlain, "plain"},
+      {MixPolicy::kRackLocal, RackMode::kFabric, "fabric"},
+  };
+  Characterizer ch;
+  const std::vector<NodeSpec> rack = comparison_racks(64)[2];  // 32 Xeon, then 109 Atom
+  std::ostringstream out;
+  for (const Config& c : kConfigs) {
+    MixResult r = simulate_mix(ch, rack_jobs(), rack, c.policy, 0, rack_options(rack, c.mode));
+    out << to_string(c.policy) << ' ' << c.name << fingerprint(r) << '\n';
+  }
+  return out.str();
+}
+
+/// Compares `live` with the fixture line by line, so a divergence names
+/// its configuration; with BVL_UPDATE_GOLDEN set, rewrites the fixture.
+void expect_fixture(const char* name, const std::string& live) {
+  const std::string path = fixture_path(name);
+  if (std::getenv("BVL_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream f(path);
+    ASSERT_TRUE(f.good()) << "cannot write " << path;
+    f << live;
+    GTEST_SKIP() << "fixture regenerated at " << path;
+  }
+  std::ifstream f(path);
+  ASSERT_TRUE(f.good()) << "missing fixture " << path << " (run once with BVL_UPDATE_GOLDEN=1)";
   std::stringstream want;
   want << f.rdbuf();
 
-  // Compare line by line so a divergence names its configuration.
   std::istringstream a(want.str()), b(live);
   std::string la, lb;
   std::size_t line = 0;
@@ -181,6 +254,12 @@ TEST(MixGolden, BatchDispatchMatchesFixture) {
   }
   EXPECT_FALSE(std::getline(b, lb)) << "live output has extra lines after " << line;
   EXPECT_EQ(diverged, 0);
+}
+
+TEST(MixGolden, BatchDispatchMatchesFixture) { expect_fixture("MIX.golden", render_all()); }
+
+TEST(BatchRackGolden, EveryDecisionMatchesFixture) {
+  expect_fixture("BATCH_RACK.golden", render_rack());
 }
 
 }  // namespace
