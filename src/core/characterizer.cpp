@@ -153,9 +153,7 @@ const perf::EventPricer& Characterizer::event_pricer(const arch::ServerConfig& s
   // pricer with the preset-aware path.
   const int slot = static_cast<int>(perf::PricerKind::kEvent) + 256 * static_cast<int>(nic);
   return static_cast<const perf::EventPricer&>(find_or_make(pricers_, server, slot, [&] {
-    perf::EventOptions opts;
-    opts.fabric.nic_preset = nic;
-    return std::make_unique<perf::EventPricer>(server, dfs_, cluster_, opts);
+    return std::make_unique<perf::EventPricer>(server, dfs_, cluster_, nic);
   }));
 }
 

@@ -10,25 +10,23 @@ std::vector<int> paper_core_counts() { return {2, 4, 6, 8}; }
 
 std::vector<CoreCountPoint> core_count_sweep(Characterizer& ch, RunSpec spec,
                                              const arch::ServerConfig& server,
-                                             const std::vector<int>& counts,
-                                             perf::PricerKind kind) {
+                                             const std::vector<int>& counts) {
   require(!counts.empty(), "core_count_sweep: empty count list");
   std::vector<CoreCountPoint> out;
   out.reserve(counts.size());
   for (int m : counts) {
     require(m >= 1 && m <= server.cores, "core_count_sweep: core count outside server");
     spec.mappers = m;
-    perf::RunResult run = ch.run(spec, server, kind);
+    perf::RunResult run = ch.run(spec, server);
     out.push_back({server.name, m, metrics_for(run, server.area_mm2)});
   }
   return out;
 }
 
-std::vector<CoreCountPoint> table3_sweep(Characterizer& ch, const RunSpec& spec,
-                                         perf::PricerKind kind) {
+std::vector<CoreCountPoint> table3_sweep(Characterizer& ch, const RunSpec& spec) {
   auto counts = paper_core_counts();
-  std::vector<CoreCountPoint> out = core_count_sweep(ch, spec, arch::xeon_e5_2420(), counts, kind);
-  auto atom = core_count_sweep(ch, spec, arch::atom_c2758(), counts, kind);
+  std::vector<CoreCountPoint> out = core_count_sweep(ch, spec, arch::xeon_e5_2420(), counts);
+  auto atom = core_count_sweep(ch, spec, arch::atom_c2758(), counts);
   out.insert(out.end(), atom.begin(), atom.end());
   return out;
 }

@@ -19,17 +19,14 @@ struct CoreCountPoint {
 /// The paper's sweep M in {2,4,6,8}.
 std::vector<int> paper_core_counts();
 
-/// Prices `spec` on `server` at each core count (mappers = cores).
-/// `kind` selects the pricer; the analytic default keeps every table
-/// and scheduler decision on the paper-pinned closed form.
+/// Prices `spec` on `server` at each core count (mappers = cores) with
+/// the closed form every table and scheduler decision is pinned to.
 std::vector<CoreCountPoint> core_count_sweep(Characterizer& ch, RunSpec spec,
                                              const arch::ServerConfig& server,
-                                             const std::vector<int>& counts,
-                                             perf::PricerKind kind = perf::PricerKind::kAnalytic);
+                                             const std::vector<int>& counts);
 
 /// Both servers, paper counts; Xeon points first (Table 3 layout).
-std::vector<CoreCountPoint> table3_sweep(Characterizer& ch, const RunSpec& spec,
-                                         perf::PricerKind kind = perf::PricerKind::kAnalytic);
+std::vector<CoreCountPoint> table3_sweep(Characterizer& ch, const RunSpec& spec);
 
 /// Finds the point minimizing E*D^x*A^a (a = 0 for ED^xP, 1 for
 /// ED^xAP) over a sweep. Throws on empty input.

@@ -22,9 +22,8 @@ Allocation schedule_by_class(AppClass cls, const Goal& goal) {
   throw Error("schedule_by_class: unknown class");
 }
 
-Allocation schedule_measured(Characterizer& ch, const RunSpec& spec, const Goal& goal,
-                             perf::PricerKind kind) {
-  auto sweep = table3_sweep(ch, spec, kind);
+Allocation schedule_measured(Characterizer& ch, const RunSpec& spec, const Goal& goal) {
+  auto sweep = table3_sweep(ch, spec);
   const CoreCountPoint& best = argmin_cost(sweep, goal.delay_exponent, goal.with_area);
   Allocation a;
   if (best.server == arch::xeon_e5_2420().name) {

@@ -49,10 +49,9 @@ Allocation schedule_by_class(AppClass cls, const Goal& goal);
 /// Data-driven policy: sweeps both servers' core counts for `spec`
 /// and allocates the argmin of the goal metric. The spec's FaultPlan
 /// is honored, so a degraded spec yields a straggler-aware decision.
-/// `kind` selects the pricing model behind the surface; the analytic
-/// default keeps the six studied apps' decisions pinned.
-Allocation schedule_measured(Characterizer& ch, const RunSpec& spec, const Goal& goal,
-                             perf::PricerKind kind = perf::PricerKind::kAnalytic);
+/// The surface is the closed form, which keeps the six studied apps'
+/// decisions pinned.
+Allocation schedule_measured(Characterizer& ch, const RunSpec& spec, const Goal& goal);
 
 /// Straggler-aware variant for degraded clusters: injects a seeded
 /// background straggler process (probability / progress-rate divisor)

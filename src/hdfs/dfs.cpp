@@ -1,5 +1,7 @@
 #include "hdfs/dfs.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace bvl::hdfs {
@@ -21,26 +23,6 @@ std::vector<BlockInfo> plan_blocks(Bytes file_size, Bytes block_size) {
 std::uint64_t num_map_tasks(Bytes file_size, Bytes block_size) {
   require(block_size > 0, "num_map_tasks: zero block size");
   return (file_size + block_size - 1) / block_size;
-}
-
-DataNode::DataNode(arch::StorageModel storage, DfsConfig cfg)
-    : storage_(std::move(storage)), cfg_(cfg) {
-  require(cfg_.replication >= 1, "DataNode: replication must be >= 1");
-  require(cfg_.block_size > 0, "DataNode: zero block size");
-}
-
-Seconds DataNode::read_time(Bytes bytes, std::uint64_t blocks) const {
-  return storage_.transfer_time(bytes, blocks);
-}
-
-Seconds DataNode::write_time(Bytes bytes, std::uint64_t blocks) const {
-  auto amplified = static_cast<Bytes>(static_cast<double>(bytes) * cfg_.replication);
-  return storage_.transfer_time(amplified, blocks);
-}
-
-double DataNode::kernel_instructions(Bytes read_bytes, Bytes write_bytes) const {
-  auto write_amp = static_cast<Bytes>(static_cast<double>(write_bytes) * cfg_.replication);
-  return storage_.kernel_instructions(read_bytes + write_amp);
 }
 
 }  // namespace bvl::hdfs

@@ -1,4 +1,4 @@
-// Simulated HDFS: block planning and datanode I/O accounting.
+// Simulated HDFS: block planning and the job-level DFS costs.
 //
 // The paper's system-level knob is the HDFS block size (32-512 MB).
 // Its two effects are structural and reproduced here:
@@ -11,17 +11,14 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "arch/storage.hpp"
 #include "util/units.hpp"
 
 namespace bvl::hdfs {
 
 struct DfsConfig {
   Bytes block_size = 128 * MB;
-  int replication = 1;  ///< pipeline copies on write
   /// Fixed master (JobTracker/RM) interaction cost per task, seconds.
   /// Covers heartbeat-based assignment and task launch.
   Seconds per_task_overhead_s = 2.2;
@@ -45,32 +42,5 @@ std::vector<BlockInfo> plan_blocks(Bytes file_size, Bytes block_size);
 /// (= number of blocks; the paper's "Input data size / HDFS block
 /// size" formula in Sec. 3.1.1).
 std::uint64_t num_map_tasks(Bytes file_size, Bytes block_size);
-
-/// Datanode-side I/O timing: wraps the node's StorageModel and adds
-/// HDFS-specific costs (replication write amplification, one seek per
-/// block boundary).
-class DataNode {
- public:
-  DataNode(arch::StorageModel storage, DfsConfig cfg);
-
-  /// Device seconds to read `bytes` laid out in `blocks` blocks.
-  Seconds read_time(Bytes bytes, std::uint64_t blocks = 1) const;
-
-  /// Device seconds to write `bytes`; replication multiplies the
-  /// locally written volume (pipeline copies land on peers, but the
-  /// local disk also absorbs its share of peers' pipelines — in
-  /// steady state write amplification equals the replication factor).
-  Seconds write_time(Bytes bytes, std::uint64_t blocks = 1) const;
-
-  /// CPU-side kernel instructions for a read+write volume.
-  double kernel_instructions(Bytes read_bytes, Bytes write_bytes) const;
-
-  const DfsConfig& config() const { return cfg_; }
-  const arch::StorageModel& storage() const { return storage_; }
-
- private:
-  arch::StorageModel storage_;
-  DfsConfig cfg_;
-};
 
 }  // namespace bvl::hdfs

@@ -106,16 +106,6 @@ std::map<std::string, WorkloadCalibration> build_table() {
     c.reduce_costs.per_hash = 300;
     t["FPGrowth"] = c;
   }
-  // KMeans (extension): FP-heavy distance kernels with excellent
-  // locality (centroid table is tiny) — high ILP, prefetchable.
-  {
-    WorkloadCalibration c;
-    c.map_sig = make_sig("KM.map", 3.2, 0.30, 1.20, 0.30, 0.70);
-    c.reduce_sig = make_sig("KM.reduce", 2.8, 0.34, 1.00, 0.60, 0.60);
-    c.map_costs.per_compute_unit = 12;  // one FMA-ish op per unit
-    c.map_costs.per_token = 60;         // float parsing
-    t["KMeans"] = c;
-  }
   return t;
 }
 

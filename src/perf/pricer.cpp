@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "sim/event_queue.hpp"
-#include "sim/network/fabric.hpp"
 #include "sim/network/nic_preset.hpp"
 #include "sim/resource.hpp"
 #include "util/error.hpp"
@@ -30,18 +29,15 @@ std::unique_ptr<Pricer> make_pricer(PricerKind kind, const arch::ServerConfig& s
 }
 
 EventPricer::EventPricer(arch::ServerConfig server, hdfs::DfsConfig dfs, ClusterConfig cluster,
-                         EventOptions opts)
+                         sim::NicPresetId nic)
     : server_(std::move(server)),
       dfs_(dfs),
       cluster_(cluster),
-      opts_(opts),
+      nic_(nic),
       core_model_(server_.make_core_model()),
       storage_(server_.storage),
       power_(server_),
-      analytic_(server_, dfs, cluster) {
-  require(opts_.reduce_slowstart > 0 && opts_.reduce_slowstart <= 1.0,
-          "EventPricer: reduce_slowstart must be in (0, 1]");
-}
+      analytic_(server_, dfs, cluster) {}
 
 /// A phase rendered for replay: per-task demands plus the closed-form
 /// aggregates (C, I, N) that give the floor and the energy inputs.
@@ -114,8 +110,9 @@ EventPricer::DerivedPhase EventPricer::derive_phase(const PhaseCost& pc, Hertz f
                 static_cast<double>(d.ntasks) * master;
   d.io_total = storage_.transfer_time(static_cast<Bytes>(d.device_bytes),
                                       static_cast<std::uint64_t>(seeks));
-  d.net_total = net_bytes / sim::nic_preset(opts_.fabric.nic_preset)
-                                .endpoint_bytes_per_s(cluster_.net_mbps, server_.network_efficiency);
+  double nic_rate =
+      sim::nic_preset(nic_).endpoint_bytes_per_s(cluster_.net_mbps, server_.network_efficiency);
+  d.net_total = net_bytes / nic_rate;
 
   // Per-task demands. The shared disk is nonlinear in total volume
   // (burst vs. sustained), so each task gets a share of the phase
@@ -129,14 +126,15 @@ EventPricer::DerivedPhase EventPricer::derive_phase(const PhaseCost& pc, Hertz f
                                             static_cast<std::uint64_t>(t.seeks));
     disk_weight_sum += disk_weight[i];
   }
-  double nic_rate = sim::nic_preset(opts_.fabric.nic_preset)
-                        .endpoint_bytes_per_s(cluster_.net_mbps, server_.network_efficiency);
   d.tasks.reserve(pc.tasks.size());
   for (std::size_t i = 0; i < pc.tasks.size(); ++i) {
     const TaskCost& t = pc.tasks[i];
     SimTask s;
-    double inst = opts_.per_task_cpu ? t.total_inst() : mean_inst;
-    s.cpu_s = inst * cpi.total() / freq * t.time_factor + launch + d.active * master;
+    // Every task carries the phase-mean instruction count, the
+    // granularity the closed form and its calibration are defined at;
+    // per-task variation enters through fault time factors, I/O
+    // volumes and wave shape.
+    s.cpu_s = mean_inst * cpi.total() / freq * t.time_factor + launch + d.active * master;
     s.disk_svc_s = disk_weight_sum > 0 ? d.io_total * (disk_weight[i] / disk_weight_sum) : 0.0;
     s.net_bytes = t.total_net_bytes();
     s.nic_svc_s = s.net_bytes / nic_rate;
@@ -161,27 +159,14 @@ struct PhaseProgress {
 /// Launches one task: acquire a slot, then replay its demands and
 /// release the slot on completion.
 void launch_task(sim::Simulation& sim, sim::SlotPool& pool, sim::ServiceQueue& disk,
-                 const ShuffleChannel& net, const SimTask& t, std::function<void()> on_done) {
-  pool.acquire([&sim, &pool, &disk, &net, t, on_done = std::move(on_done)] {
-    replay_task_on_slot(sim, disk, t, net, [&pool, on_done] {
+                 const ComputeChannel& cpu, const ShuffleChannel& net, const SimTask& t,
+                 std::function<void()> on_done) {
+  pool.acquire([&sim, &pool, &disk, &cpu, &net, t, on_done = std::move(on_done)] {
+    replay_task_on_slot(sim, disk, t, cpu, net, [&pool, on_done] {
       on_done();
       pool.release();
     });
   });
-}
-
-/// Plan-pricing variant: the compute leg is owned by `cpu` (captured
-/// by value — per-task channels are built inline at launch sites).
-void launch_task_plan(sim::Simulation& sim, sim::SlotPool& pool, sim::ServiceQueue& disk,
-                      ComputeChannel cpu, const ShuffleChannel& net, const SimTask& t,
-                      std::function<void()> on_done) {
-  pool.acquire(
-      [&sim, &pool, &disk, cpu = std::move(cpu), &net, t, on_done = std::move(on_done)] {
-        replay_task_on_slot(sim, disk, t, cpu, net, [&pool, on_done] {
-          on_done();
-          pool.release();
-        });
-      });
 }
 
 }  // namespace
@@ -201,33 +186,6 @@ void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, const Si
   if (t.nic_svc_s > 0) net(t, part_done);
 }
 
-void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, const SimTask& t,
-                         const ShuffleChannel& net, std::function<void()> on_complete) {
-  replay_task_on_slot(
-      sim, disk, t,
-      [&sim](const SimTask& task, std::function<void()> done) {
-        sim.in(task.cpu_s, std::move(done));
-      },
-      net, std::move(on_complete));
-}
-
-Seconds plan_compute_finish(const power::FreqPlan& plan, Seconds start,
-                            const std::function<Seconds(Hertz)>& dur_at) {
-  require(start >= 0, "plan_compute_finish: negative start");
-  Seconds t = start;
-  double frac = 0;  // completed fraction of the demand
-  while (true) {
-    Seconds dur = dur_at(plan.freq_at(t));
-    require(dur >= 0, "plan_compute_finish: negative duration");
-    if (dur <= 0) return t;  // zero demand completes instantly
-    Seconds finish = t + (1.0 - frac) * dur;
-    Seconds boundary = plan.next_change_after(t);
-    if (finish <= boundary) return finish;
-    frac += (boundary - t) / dur;
-    t = boundary;
-  }
-}
-
 JobSim EventPricer::job_sim(const mr::JobTrace& trace, Hertz freq, int slots) const {
   require(freq > 0, "EventPricer: non-positive frequency");
   if (slots <= 0) slots = server_.cores;
@@ -236,93 +194,53 @@ JobSim EventPricer::job_sim(const mr::JobTrace& trace, Hertz freq, int slots) co
   DerivedPhase mp = derive_phase(jc.map, freq, slots);
   DerivedPhase rp = derive_phase(jc.reduce, freq, slots);
 
-  // ---- Replay both phases on one node's timeline ----
+  // ---- Replay both phases on one node's timeline: compute is a
+  // fixed-frequency delay, every network leg queues on the one NIC,
+  // and the reduces are released when the last map finishes ----
   sim::Simulation sim;
   sim::SlotPool map_slots(sim, std::max(1, mp.active));
   sim::SlotPool reduce_slots(sim, std::max(1, rp.active));
   sim::ServiceQueue disk(sim);
   sim::ServiceQueue nic(sim);
-
-  // Network legs. Default: the single NIC queue (the analytic term's
-  // device). Fabric mode: this node is node 0; maps stay local, each
-  // reduce fetches uniformly from every topology node.
-  std::unique_ptr<sim::Fabric> fabric;
-  std::unique_ptr<sim::FlowRouter> router;
-  std::vector<std::pair<int, double>> reduce_sources;
-  if (opts_.fabric.modeled) {
-    sim::Topology topo = opts_.fabric.topology;
-    if (topo.rack_of.empty()) topo = sim::Topology::single_rack(1);
-    double nic_rate = sim::nic_preset(opts_.fabric.nic_preset)
-                          .endpoint_bytes_per_s(cluster_.net_mbps, server_.network_efficiency);
-    fabric = std::make_unique<sim::Fabric>(
-        sim, topo, std::vector<double>(topo.rack_of.size(), nic_rate));
-    router = std::make_unique<sim::FlowRouter>(*fabric);
-    for (int n = 0; n < fabric->topology().nodes(); ++n) reduce_sources.emplace_back(n, 1.0);
-  }
-  ShuffleChannel map_net = [&](const SimTask& t, std::function<void()> done) {
-    if (router != nullptr) {
-      router->shuffle(0, {}, t.net_bytes, std::move(done));
-    } else {
-      nic.submit(t.nic_svc_s, std::move(done));
-    }
+  ComputeChannel cpu = [&sim](const SimTask& t, std::function<void()> done) {
+    sim.in(t.cpu_s, std::move(done));
   };
-  ShuffleChannel reduce_net = [&](const SimTask& t, std::function<void()> done) {
-    if (router != nullptr) {
-      router->shuffle(0, reduce_sources, t.net_bytes, std::move(done));
-    } else {
-      nic.submit(t.nic_svc_s, std::move(done));
-    }
+  ShuffleChannel net = [&nic](const SimTask& t, std::function<void()> done) {
+    nic.submit(t.nic_svc_s, std::move(done));
   };
 
   PhaseProgress map_prog, reduce_prog;
   Seconds reduce_start = 0;
-  bool reduces_launched = rp.ntasks == 0;
-  int slowstart_after =
-      std::min(mp.ntasks, static_cast<int>(std::ceil(opts_.reduce_slowstart *
-                                                     static_cast<double>(mp.ntasks))));
-
   std::function<void()> launch_reduces = [&] {
     reduce_start = sim.now();
     for (const SimTask& t : rp.tasks) {
-      launch_task(sim, reduce_slots, disk, reduce_net, t, [&] {
+      launch_task(sim, reduce_slots, disk, cpu, net, t, [&] {
         ++reduce_prog.done;
         reduce_prog.last_finish = std::max(reduce_prog.last_finish, sim.now());
       });
     }
   };
   for (const SimTask& t : mp.tasks) {
-    launch_task(sim, map_slots, disk, map_net, t, [&] {
+    launch_task(sim, map_slots, disk, cpu, net, t, [&] {
       ++map_prog.done;
       map_prog.last_finish = std::max(map_prog.last_finish, sim.now());
-      if (!reduces_launched && map_prog.done >= slowstart_after) {
-        reduces_launched = true;
-        launch_reduces();
-      }
+      if (map_prog.done == mp.ntasks) launch_reduces();
     });
   }
-  if (rp.ntasks > 0 && mp.ntasks == 0) launch_reduces();
+  if (mp.ntasks == 0) launch_reduces();
   sim.run();
 
-  // ---- Phase times: replay, floored at the closed form in serial
-  // mode (overlapping phases make the timeline authoritative) ----
-  const bool serial_phases = opts_.reduce_slowstart >= 1.0;
+  // ---- Phase times: the replay, floored at the closed form ----
   Seconds map_time = map_prog.last_finish;
   Seconds reduce_time =
       rp.ntasks > 0 ? std::max<Seconds>(0, reduce_prog.last_finish - reduce_start) : 0;
-  if (serial_phases) {
-    if (mp.ntasks > 0) {
-      map_time = std::max(map_time,
-                          mp.floor_s(cluster_.overlap_penalty) + mp.backoff_total / mp.active);
-    }
-    if (rp.ntasks > 0) {
-      reduce_time = std::max(reduce_time,
-                             rp.floor_s(cluster_.overlap_penalty) + rp.backoff_total / rp.active);
-    }
-  } else if (rp.ntasks > 0) {
-    // Overlapped mode: the job ends when everything ends; the reduce
-    // "phase" is whatever the timeline left after the map phase.
-    Seconds job_end = std::max(map_prog.last_finish, reduce_prog.last_finish);
-    reduce_time = std::max<Seconds>(0, job_end - map_time);
+  if (mp.ntasks > 0) {
+    map_time =
+        std::max(map_time, mp.floor_s(cluster_.overlap_penalty) + mp.backoff_total / mp.active);
+  }
+  if (rp.ntasks > 0) {
+    reduce_time = std::max(reduce_time,
+                           rp.floor_s(cluster_.overlap_penalty) + rp.backoff_total / rp.active);
   }
 
   JobSim js;
@@ -385,200 +303,6 @@ JobSim EventPricer::job_sim(const mr::JobTrace& trace, Hertz freq, int slots) co
 
 RunResult EventPricer::price(const mr::JobTrace& trace, Hertz freq, int slots) const {
   return job_sim(trace, freq, slots).priced;
-}
-
-JobSim EventPricer::job_sim(const mr::JobTrace& trace, const power::FreqPlan& plan,
-                            int slots) const {
-  // A constant plan IS the scalar path — same code, bit-identical.
-  if (plan.single_segment()) return job_sim(trace, plan.freq_at(0), slots);
-  if (slots <= 0) slots = server_.cores;
-
-  JobCost jc = extract_job_cost(trace, server_, storage_, dfs_, cluster_, slots);
-
-  // Render both phases at every distinct plan frequency. Only the
-  // compute demand (CPI/freq) varies across renders; disk and NIC
-  // demands are frequency-independent, so the base render (the plan's
-  // initial frequency) supplies every leg — and the serial tail and
-  // backoff — while the cpu leg walks segment boundaries.
-  std::vector<Hertz> freqs;
-  for (const auto& seg : plan.segments()) {
-    if (std::find(freqs.begin(), freqs.end(), seg.freq) == freqs.end()) freqs.push_back(seg.freq);
-  }
-  std::vector<DerivedPhase> mp_at, rp_at;
-  mp_at.reserve(freqs.size());
-  rp_at.reserve(freqs.size());
-  for (Hertz f : freqs) {
-    mp_at.push_back(derive_phase(jc.map, f, slots));
-    rp_at.push_back(derive_phase(jc.reduce, f, slots));
-  }
-  auto index_of = [&freqs](Hertz f) {
-    for (std::size_t i = 0; i < freqs.size(); ++i) {
-      if (freqs[i] == f) return i;
-    }
-    require(false, "plan pricing: frequency not in plan");
-    return std::size_t{0};
-  };
-  const std::size_t base = index_of(plan.freq_at(0));
-  DerivedPhase& mp = mp_at[base];
-  DerivedPhase& rp = rp_at[base];
-
-  sim::Simulation sim;
-  sim::SlotPool map_slots(sim, std::max(1, mp.active));
-  sim::SlotPool reduce_slots(sim, std::max(1, rp.active));
-  sim::ServiceQueue disk(sim);
-  sim::ServiceQueue nic(sim);
-
-  std::unique_ptr<sim::Fabric> fabric;
-  std::unique_ptr<sim::FlowRouter> router;
-  std::vector<std::pair<int, double>> reduce_sources;
-  if (opts_.fabric.modeled) {
-    sim::Topology topo = opts_.fabric.topology;
-    if (topo.rack_of.empty()) topo = sim::Topology::single_rack(1);
-    double nic_rate = sim::nic_preset(opts_.fabric.nic_preset)
-                          .endpoint_bytes_per_s(cluster_.net_mbps, server_.network_efficiency);
-    fabric = std::make_unique<sim::Fabric>(
-        sim, topo, std::vector<double>(topo.rack_of.size(), nic_rate));
-    router = std::make_unique<sim::FlowRouter>(*fabric);
-    for (int n = 0; n < fabric->topology().nodes(); ++n) reduce_sources.emplace_back(n, 1.0);
-  }
-  ShuffleChannel map_net = [&](const SimTask& t, std::function<void()> done) {
-    if (router != nullptr) {
-      router->shuffle(0, {}, t.net_bytes, std::move(done));
-    } else {
-      nic.submit(t.nic_svc_s, std::move(done));
-    }
-  };
-  ShuffleChannel reduce_net = [&](const SimTask& t, std::function<void()> done) {
-    if (router != nullptr) {
-      router->shuffle(0, reduce_sources, t.net_bytes, std::move(done));
-    } else {
-      nic.submit(t.nic_svc_s, std::move(done));
-    }
-  };
-
-  // The compute leg under a plan: when the slot is granted, walk the
-  // remaining demand across segment boundaries, repricing the
-  // unfinished fraction at each new frequency.
-  auto plan_cpu = [&sim, &plan, &index_of](const std::vector<DerivedPhase>& at,
-                                           std::size_t ti) -> ComputeChannel {
-    return [&sim, &plan, &index_of, &at, ti](const SimTask&, std::function<void()> done) {
-      Seconds finish = plan_compute_finish(plan, sim.now(), [&at, &index_of, ti](Hertz f) {
-        return at[index_of(f)].tasks[ti].cpu_s;
-      });
-      sim.in(std::max<Seconds>(0.0, finish - sim.now()), std::move(done));
-    };
-  };
-
-  PhaseProgress map_prog, reduce_prog;
-  Seconds reduce_start = 0;
-  bool reduces_launched = rp.ntasks == 0;
-  int slowstart_after =
-      std::min(mp.ntasks, static_cast<int>(std::ceil(opts_.reduce_slowstart *
-                                                     static_cast<double>(mp.ntasks))));
-
-  std::function<void()> launch_reduces = [&] {
-    reduce_start = sim.now();
-    for (std::size_t i = 0; i < rp.tasks.size(); ++i) {
-      launch_task_plan(sim, reduce_slots, disk, plan_cpu(rp_at, i), reduce_net, rp.tasks[i], [&] {
-        ++reduce_prog.done;
-        reduce_prog.last_finish = std::max(reduce_prog.last_finish, sim.now());
-      });
-    }
-  };
-  for (std::size_t i = 0; i < mp.tasks.size(); ++i) {
-    launch_task_plan(sim, map_slots, disk, plan_cpu(mp_at, i), map_net, mp.tasks[i], [&] {
-      ++map_prog.done;
-      map_prog.last_finish = std::max(map_prog.last_finish, sim.now());
-      if (!reduces_launched && map_prog.done >= slowstart_after) {
-        reduces_launched = true;
-        launch_reduces();
-      }
-    });
-  }
-  if (rp.ntasks > 0 && mp.ntasks == 0) launch_reduces();
-  sim.run();
-
-  // No analytic floors here: the closed form is defined at one
-  // frequency, so once frequency moves under the job the timeline is
-  // authoritative (header contract).
-  Seconds map_time = map_prog.last_finish;
-  Seconds reduce_time =
-      rp.ntasks > 0 ? std::max<Seconds>(0, reduce_prog.last_finish - reduce_start) : 0;
-  if (opts_.reduce_slowstart < 1.0 && rp.ntasks > 0) {
-    Seconds overlap_end = std::max(map_prog.last_finish, reduce_prog.last_finish);
-    reduce_time = std::max<Seconds>(0, overlap_end - map_time);
-  }
-
-  JobSim js;
-  js.priced.workload = trace.workload;
-  js.priced.server = server_.name;
-  js.priced.freq = plan.freq_at(0);
-  js.priced.block_size = trace.config.block_size;
-  js.priced.input_size = trace.config.input_size;
-  js.priced.mappers = slots;
-
-  // Phase energy under a plan: each segment overlapping the phase's
-  // active window is priced at that segment's frequency with the IPC
-  // the cores actually achieve there.
-  auto fill_phase_plan = [&](const std::vector<DerivedPhase>& at, Seconds t_begin, Seconds time) {
-    const DerivedPhase& d = at[base];
-    PhaseResult r;
-    if (d.ntasks == 0) return r;
-    r.time = time;
-    r.cpu_time = d.cpu_floor;
-    r.io_time = d.io_total;
-    r.net_time = d.net_total;
-    r.avg_ipc = d.ipc;
-    if (r.time > 0) {
-      Seconds active_time = std::max<Seconds>(r.time - d.backoff_total / d.active, 1e-12);
-      double llc_miss =
-          d.sig ? core_model_.caches().llc_miss_ratio(d.ws_bytes, d.theta, d.active) : 0.05;
-      double dram_bytes =
-          (d.total_inst + d.wasted_inst) * d.mem_refs * llc_miss * 64.0 + d.device_bytes;
-      power::SystemLoad load;
-      load.active_cores = d.active;
-      load.mem_gbps = dram_bytes / active_time / 1e9;
-      load.disk_duty = std::clamp(d.io_total / active_time, 0.0, 1.0);
-      const auto& segs = plan.segments();
-      Seconds t_end = t_begin + active_time;
-      for (std::size_t i = 0; i < segs.size(); ++i) {
-        Seconds sb = std::max(t_begin, segs[i].start);
-        Seconds se = i + 1 < segs.size() ? std::min(t_end, segs[i + 1].start) : t_end;
-        if (se <= sb) continue;
-        load.avg_ipc = at[index_of(segs[i].freq)].ipc;
-        r.energy += power_.dynamic_power(load, segs[i].freq) * (se - sb);
-      }
-      r.dynamic_power = r.energy / r.time;
-    }
-    return r;
-  };
-  js.priced.map = fill_phase_plan(mp_at, 0, map_time);
-  js.priced.reduce = fill_phase_plan(rp_at, reduce_start, reduce_time);
-  // The task-less "other" phase runs after the task phases: price it
-  // at the frequency in force when they end.
-  Seconds tasks_end = std::max(map_prog.last_finish, reduce_prog.last_finish);
-  js.priced.other = analytic_.price(trace, plan.freq_at(tasks_end), slots).other;
-
-  auto share_energy = [](std::vector<SimTask>& tasks, Joules phase_energy) {
-    double total = 0;
-    for (const SimTask& t : tasks) total += t.cpu_s + t.disk_svc_s + t.nic_svc_s;
-    if (total <= 0) return;
-    for (SimTask& t : tasks) {
-      t.energy = phase_energy * ((t.cpu_s + t.disk_svc_s + t.nic_svc_s) / total);
-    }
-  };
-  js.map_tasks = std::move(mp.tasks);
-  js.reduce_tasks = std::move(rp.tasks);
-  share_energy(js.map_tasks, js.priced.map.energy);
-  share_energy(js.reduce_tasks, js.priced.reduce.energy);
-  js.other_s = js.priced.other.time;
-  js.other_energy = js.priced.other.energy;
-  return js;
-}
-
-RunResult EventPricer::price(const mr::JobTrace& trace, const power::FreqPlan& plan,
-                             int slots) const {
-  return job_sim(trace, plan, slots).priced;
 }
 
 }  // namespace bvl::perf

@@ -1,8 +1,7 @@
 #include "power/freq_plan.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <limits>
 
 #include "util/error.hpp"
 
@@ -23,23 +22,6 @@ FreqPlan::FreqPlan(std::vector<FreqSegment> segments) {
     if (!segments_.empty() && segments_.back().freq == s.freq) continue;
     segments_.push_back(s);
   }
-}
-
-Hertz FreqPlan::freq_at(Seconds t) const {
-  require(t >= 0, "FreqPlan::freq_at: negative time");
-  Hertz f = segments_.front().freq;
-  for (const FreqSegment& s : segments_) {
-    if (s.start > t) break;
-    f = s.freq;
-  }
-  return f;
-}
-
-Seconds FreqPlan::next_change_after(Seconds t) const {
-  for (const FreqSegment& s : segments_) {
-    if (s.start > t) return s.start;
-  }
-  return std::numeric_limits<double>::infinity();
 }
 
 Hertz FreqPlan::min_freq() const {
@@ -67,17 +49,6 @@ void FreqPlan::append(Seconds start, Hertz freq) {
   }
   if (segments_.back().freq == freq) return;  // no-op transition
   segments_.push_back({start, freq});
-}
-
-std::string FreqPlan::label() const {
-  char buf[64];
-  if (single_segment()) {
-    std::snprintf(buf, sizeof buf, "%.1fGHz", segments_.front().freq / GHz);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.1fGHz(+%dseg)", segments_.front().freq / GHz,
-                  static_cast<int>(segments_.size()) - 1);
-  }
-  return buf;
 }
 
 }  // namespace bvl::power

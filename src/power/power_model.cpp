@@ -29,19 +29,6 @@ Watts PowerModel::core_power(Hertz freq) const {
   return params_.core_ceff_f * v * v * f + params_.core_leak_w_per_v * v;
 }
 
-Joules PowerModel::dynamic_energy_over(const SystemLoad& load, const FreqPlan& plan, Seconds t0,
-                                       Seconds t1) const {
-  require(t1 >= t0 && t0 >= 0, "PowerModel::dynamic_energy_over: bad interval");
-  Joules e = 0;
-  const auto& segs = plan.segments();
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    Seconds seg_begin = std::max(t0, segs[i].start);
-    Seconds seg_end = i + 1 < segs.size() ? std::min(t1, segs[i + 1].start) : t1;
-    if (seg_end > seg_begin) e += dynamic_power(load, segs[i].freq) * (seg_end - seg_begin);
-  }
-  return e;
-}
-
 Watts PowerModel::node_draw(int active_cores, Hertz freq) const {
   require(active_cores >= 0, "PowerModel::node_draw: negative active cores");
   SystemLoad load;

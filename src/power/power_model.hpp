@@ -12,7 +12,6 @@
 #pragma once
 
 #include "arch/server_config.hpp"
-#include "power/freq_plan.hpp"
 #include "util/units.hpp"
 
 namespace bvl::power {
@@ -43,14 +42,6 @@ class PowerModel {
   /// table, and extrapolating C*V^2*f linearly past it silently
   /// overstates draw (regression-tested at both boundaries).
   Watts core_power(Hertz freq) const;
-
-  /// Dynamic energy of holding `load` over [t0, t1) under a
-  /// time-varying frequency plan: the per-segment sum of
-  /// dynamic_power(load, seg.freq) * overlap(seg, [t0, t1)). A
-  /// single-segment plan reduces exactly to
-  /// dynamic_power(load, f) * (t1 - t0).
-  Joules dynamic_energy_over(const SystemLoad& load, const FreqPlan& plan, Seconds t0,
-                             Seconds t1) const;
 
   /// Modeled whole-node draw with `active_cores` busy at `freq` — the
   /// quantity the rack power-cap loop meters and throttles on: idle

@@ -3,7 +3,6 @@
 #include "util/error.hpp"
 #include "workloads/fpgrowth.hpp"
 #include "workloads/grep.hpp"
-#include "workloads/kmeans.hpp"
 #include "workloads/naive_bayes.hpp"
 #include "workloads/sort.hpp"
 #include "workloads/terasort.hpp"
@@ -19,7 +18,6 @@ std::string short_name(WorkloadId id) {
     case WorkloadId::kTeraSort: return "TS";
     case WorkloadId::kNaiveBayes: return "NB";
     case WorkloadId::kFpGrowth: return "FP";
-    case WorkloadId::kKMeans: return "KM";
   }
   throw Error("short_name: unknown workload");
 }
@@ -32,7 +30,6 @@ std::string long_name(WorkloadId id) {
     case WorkloadId::kTeraSort: return "TeraSort";
     case WorkloadId::kNaiveBayes: return "NaiveBayes";
     case WorkloadId::kFpGrowth: return "FPGrowth";
-    case WorkloadId::kKMeans: return "KMeans";
   }
   throw Error("long_name: unknown workload");
 }
@@ -50,8 +47,6 @@ std::vector<WorkloadId> real_world_apps() {
   return {WorkloadId::kNaiveBayes, WorkloadId::kFpGrowth};
 }
 
-std::vector<WorkloadId> extension_workloads() { return {WorkloadId::kKMeans}; }
-
 std::unique_ptr<mr::JobDefinition> make_workload(WorkloadId id) {
   switch (id) {
     case WorkloadId::kWordCount: return std::make_unique<WordCountJob>();
@@ -60,16 +55,12 @@ std::unique_ptr<mr::JobDefinition> make_workload(WorkloadId id) {
     case WorkloadId::kTeraSort: return std::make_unique<TeraSortJob>();
     case WorkloadId::kNaiveBayes: return std::make_unique<NaiveBayesJob>();
     case WorkloadId::kFpGrowth: return std::make_unique<FpGrowthJob>();
-    case WorkloadId::kKMeans: return std::make_unique<KMeansJob>();
   }
   throw Error("make_workload: unknown workload");
 }
 
 std::unique_ptr<mr::JobDefinition> make_workload(const std::string& name) {
   for (WorkloadId id : all_workloads()) {
-    if (name == short_name(id) || name == long_name(id)) return make_workload(id);
-  }
-  for (WorkloadId id : extension_workloads()) {
     if (name == short_name(id) || name == long_name(id)) return make_workload(id);
   }
   throw Error("make_workload: unknown workload '" + name + "'");

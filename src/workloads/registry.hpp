@@ -10,7 +10,7 @@
 
 namespace bvl::wl {
 
-enum class WorkloadId { kWordCount, kSort, kGrep, kTeraSort, kNaiveBayes, kFpGrowth, kKMeans };
+enum class WorkloadId { kWordCount, kSort, kGrep, kTeraSort, kNaiveBayes, kFpGrowth };
 
 /// Paper abbreviations: WC, ST, GP, TS, NB, FP.
 std::string short_name(WorkloadId id);
@@ -20,10 +20,6 @@ std::string long_name(WorkloadId id);
 std::vector<WorkloadId> all_workloads();
 std::vector<WorkloadId> micro_benchmarks();   ///< WC, ST, GP, TS
 std::vector<WorkloadId> real_world_apps();    ///< NB, FP
-
-/// Extensions beyond the paper's six (KMeans); not part of the
-/// reproduction sweeps.
-std::vector<WorkloadId> extension_workloads();
 
 /// Constructs a fresh job definition. Throws on unknown name.
 std::unique_ptr<mr::JobDefinition> make_workload(WorkloadId id);

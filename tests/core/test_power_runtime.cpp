@@ -4,11 +4,16 @@
 // tests pin that cache against a from-scratch evaluation: after every
 // acquire, release, cap admission and tick, the metered rack draw
 // equals a fresh node-order sum of PowerModel::node_draw, under every
-// governor, uncapped and capped.
+// governor, uncapped and capped. The repricing tests pin the
+// mid-flight rule on hand-computed completion times: a running compute
+// leg carries its completed fraction across every level change, forced
+// by a capped admission or a governor tick, and reprices only the
+// remainder.
 #include "core/replay/power_runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -181,6 +186,122 @@ TEST(PowerRuntime, IdleNodeThrottledByADeferredAdmissionRecoversAtTheNextTick) {
   EXPECT_EQ(atom_level_at_tick[2], base);
   EXPECT_EQ(atom_level_at_tick[3], base);
   EXPECT_EQ(rt.level(kXeon), xeon_base);
+}
+
+// ---------------------------------------------------------------------------
+// Mid-flight repricing on hand-computed cases
+// ---------------------------------------------------------------------------
+
+/// Holds one slot of node 0 from `start` for a compute leg whose full
+/// duration at DVFS level l is dur[l]; records its completion time in
+/// *finished and releases the slot.
+void start_leg(Rack& rack, PowerRuntime& rt, Seconds start, std::array<Seconds, 4> dur,
+               Seconds* finished) {
+  rack.sim.at(start, [&rack, &rt, dur, finished] {
+    ASSERT_TRUE(rack.nodes[0].slots->try_acquire());
+    rt.draw_changed(0);
+    rt.start_compute(
+        0, [dur](int lvl) { return dur[static_cast<std::size_t>(lvl)]; },
+        [&rack, &rt, finished] {
+          *finished = rack.sim.now();
+          rack.nodes[0].slots->release();
+          rt.draw_changed(0);
+        });
+  });
+}
+
+/// Cap-only control on one Xeon, the cap at two busy cores on level 2:
+/// one task at the base (top) level fits, and admitting a second one
+/// throttles the node exactly one level.
+power::PowerPlanSpec one_step_cap(const Rack& rack, Seconds period) {
+  power::PowerPlanSpec spec;
+  spec.rack_cap_w = rack.models[0].node_draw(2, rack.xeon.dvfs.level_freq(2));
+  spec.period_s = period;
+  return spec;
+}
+
+TEST(PowerRuntime, CappedAdmissionRepricesTheRemainderOfARunningLeg) {
+  Rack rack(1);
+  ASSERT_EQ(rack.xeon.dvfs.levels(), 4);
+  const power::PowerPlanSpec spec = one_step_cap(rack, 100);  // no tick inside the leg
+  ASSERT_LE(rack.models[0].node_draw(1, rack.xeon.dvfs.level_freq(3)), spec.rack_cap_w);
+  PowerRuntime rt(rack.sim, spec, rack.nodes, kBaseFreq, "test");
+  ASSERT_EQ(rt.level(0), 3);
+
+  // 4 s at level 3, 6 s at level 2, started at 0. At t = 1 a quarter
+  // is done; the other three quarters take 0.75 * 6 = 4.5 s at level 2.
+  Seconds finished = -1;
+  start_leg(rack, rt, 0, {16, 8, 6, 4}, &finished);
+  rack.sim.at(1, [&] {
+    EXPECT_TRUE(rt.admit(0));
+    EXPECT_EQ(rt.level(0), 2);
+  });
+  rt.begin([&] { return finished < 0; }, [] {});
+  rack.sim.run();
+  EXPECT_EQ(finished, 5.5);
+  EXPECT_EQ(rt.level_changes(), 1);
+}
+
+TEST(PowerRuntime, CapRecoveryTickRepricesTheRemainderBackUp) {
+  Rack rack(1);
+  ASSERT_EQ(rack.xeon.dvfs.levels(), 4);
+  PowerRuntime rt(rack.sim, one_step_cap(rack, 2), rack.nodes, kBaseFreq, "test");
+
+  // The same leg and throttle as above; the tick at t = 2 finds room
+  // under the cap and raises the node back to its base level. By then
+  // 1/4 + 1/6 = 5/12 is done, and the last 7/12 take 7/12 * 4 s.
+  Seconds finished = -1;
+  start_leg(rack, rt, 0, {16, 8, 6, 4}, &finished);
+  rack.sim.at(1, [&] { EXPECT_TRUE(rt.admit(0)); });
+  std::vector<int> level_at_tick;
+  rt.begin([&] { return finished < 0; }, [&] { level_at_tick.push_back(rt.level(0)); });
+  rack.sim.run();
+  EXPECT_NEAR(finished, 2 + 7.0 / 3.0, 1e-12);
+  EXPECT_EQ(level_at_tick, (std::vector<int>{3, 3}));  // ticks at t = 2 and 4
+  EXPECT_EQ(rt.level_changes(), 2);
+}
+
+TEST(PowerRuntime, GovernorTicksRepriceARunningLegAcrossSeveralLevelChanges) {
+  // ondemand with one busy slot on the node: utilization stays under
+  // down_threshold, so the ticks at t = 1, 2 and 3 step the node from
+  // the top level to the bottom, one level each.
+  Rack rack(1);
+  ASSERT_EQ(rack.xeon.dvfs.levels(), 4);
+  power::PowerPlanSpec spec;
+  spec.governor = power::GovernorKind::kOndemand;
+  PowerRuntime rt(rack.sim, spec, rack.nodes, kBaseFreq, "test");
+  ASSERT_EQ(rt.level(0), 3);
+
+  // 2 / 3 / 5 / 8 s at levels 3 / 2 / 1 / 0, started at 0.5. Done by
+  // the ticks: 0.5/2 = 1/4, then 1/3 more, then 1/5 more; the last
+  // 13/60 take 13/60 * 8 s at the bottom level.
+  Seconds finished = -1;
+  start_leg(rack, rt, 0.5, {8, 5, 3, 2}, &finished);
+  std::vector<int> level_at_tick;
+  rt.begin([&] { return finished < 0; }, [&] { level_at_tick.push_back(rt.level(0)); });
+  rack.sim.run();
+  EXPECT_NEAR(finished, 3 + 26.0 / 15.0, 1e-12);
+  EXPECT_EQ(level_at_tick, (std::vector<int>{2, 1, 0, 0}));  // ticks at t = 1..4
+  EXPECT_EQ(rt.level_changes(), 3);
+}
+
+TEST(PowerRuntime, ZeroDurationLegsCompleteAtTheirInstant) {
+  Rack rack(1);
+  ASSERT_EQ(rack.xeon.dvfs.levels(), 4);
+  PowerRuntime rt(rack.sim, one_step_cap(rack, 100), rack.nodes, kBaseFreq, "test");
+
+  // A leg with no compute left at the level the admission at t = 1
+  // moves it to completes at that level change; a leg with no compute
+  // at its start level completes the instant it starts.
+  Seconds at_change = -1, at_start = -1;
+  start_leg(rack, rt, 0, {0, 0, 0, 4}, &at_change);
+  rack.sim.at(1, [&] { EXPECT_TRUE(rt.admit(0)); });
+  start_leg(rack, rt, 2, {0, 0, 0, 0}, &at_start);
+  rt.begin([&] { return at_start < 0; }, [] {});
+  rack.sim.run();
+  EXPECT_EQ(at_change, 1.0);
+  EXPECT_EQ(at_start, 2.0);
+  EXPECT_EQ(rt.level_changes(), 1);
 }
 
 }  // namespace

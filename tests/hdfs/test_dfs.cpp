@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "arch/server_config.hpp"
 #include "util/error.hpp"
 
 namespace bvl::hdfs {
@@ -46,30 +45,6 @@ TEST(NumMapTasks, MatchesPaperFormula) {
   EXPECT_EQ(num_map_tasks(1 * GB, 512 * MB), 2u);
   EXPECT_EQ(num_map_tasks(10 * GB, 512 * MB), 20u);
   EXPECT_EQ(num_map_tasks(1, 512 * MB), 1u);  // round up
-}
-
-TEST(DataNode, ReplicationAmplifiesWrites) {
-  arch::StorageModel disk(arch::xeon_e5_2420().storage);
-  DfsConfig one{.block_size = 128 * MB, .replication = 1};
-  DfsConfig three{.block_size = 128 * MB, .replication = 3};
-  DataNode n1(disk, one), n3(disk, three);
-  // Equal up to the fixed per-call seek cost.
-  EXPECT_NEAR(n3.write_time(100 * MB), 3.0 * n1.write_time(100 * MB),
-              0.05 * n3.write_time(100 * MB));
-  EXPECT_DOUBLE_EQ(n1.read_time(100 * MB), n3.read_time(100 * MB));
-}
-
-TEST(DataNode, KernelCostCountsAmplifiedBytes) {
-  arch::StorageModel disk(arch::atom_c2758().storage);
-  DataNode n(disk, DfsConfig{.block_size = 64 * MB, .replication = 2});
-  double expected = disk.kernel_instructions(100 + 2 * 50);
-  EXPECT_DOUBLE_EQ(n.kernel_instructions(100, 50), expected);
-}
-
-TEST(DataNode, RejectsBadConfig) {
-  arch::StorageModel disk(arch::atom_c2758().storage);
-  EXPECT_THROW(DataNode(disk, DfsConfig{.block_size = 0}), Error);
-  EXPECT_THROW(DataNode(disk, DfsConfig{.block_size = 1 * MB, .replication = 0}), Error);
 }
 
 }  // namespace

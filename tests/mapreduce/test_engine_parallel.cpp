@@ -79,10 +79,7 @@ void expect_trace_eq(const JobTrace& a, const JobTrace& b) {
 
 TEST(EngineParallel, TraceBitIdenticalToSerialForEveryWorkload) {
   Engine e;
-  std::vector<wl::WorkloadId> ids = wl::all_workloads();
-  for (auto id : wl::extension_workloads()) ids.push_back(id);
-
-  for (auto id : ids) {
+  for (auto id : wl::all_workloads()) {
     SCOPED_TRACE(wl::long_name(id));
     JobConfig cfg = parallel_config();
     // Real-world apps execute heavier per-byte work; shrink their

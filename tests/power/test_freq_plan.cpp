@@ -1,7 +1,5 @@
 // FreqPlan, the governor decision rule, and the DVFS level-stepping /
-// clamp edge cases the run-time frequency stack leans on. The plan's
-// single-segment degenerate case is additionally pinned bit-identical
-// to the scalar pricing path in tests/perf/test_plan_pricing.cpp.
+// clamp edge cases the run-time frequency stack leans on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,26 +26,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 TEST(FreqPlan, ConstantPlanIsSingleSegment) {
   FreqPlan p = FreqPlan::constant(1.8 * GHz);
   EXPECT_TRUE(p.single_segment());
-  EXPECT_EQ(p.freq_at(0), 1.8 * GHz);
-  EXPECT_EQ(p.freq_at(1e9), 1.8 * GHz);
-  EXPECT_EQ(p.next_change_after(0), kInf);
+  ASSERT_EQ(p.segments().size(), 1u);
+  EXPECT_EQ(p.segments().front().start, 0.0);
+  EXPECT_EQ(p.segments().front().freq, 1.8 * GHz);
   EXPECT_EQ(p.min_freq(), 1.8 * GHz);
   EXPECT_EQ(p.max_freq(), 1.8 * GHz);
-  EXPECT_EQ(p.label(), "1.8GHz");
 }
 
-TEST(FreqPlan, SegmentsSelectByTime) {
+TEST(FreqPlan, SegmentsKeepTheirOrderAndBounds) {
   FreqPlan p({{0, 1.8 * GHz}, {10, 1.2 * GHz}, {25, 1.6 * GHz}});
   EXPECT_FALSE(p.single_segment());
-  EXPECT_EQ(p.freq_at(0), 1.8 * GHz);
-  EXPECT_EQ(p.freq_at(9.999), 1.8 * GHz);
-  EXPECT_EQ(p.freq_at(10), 1.2 * GHz);   // boundary belongs to the new segment
-  EXPECT_EQ(p.freq_at(24.999), 1.2 * GHz);
-  EXPECT_EQ(p.freq_at(25), 1.6 * GHz);
-  EXPECT_EQ(p.freq_at(1e6), 1.6 * GHz);
-  EXPECT_EQ(p.next_change_after(0), 10.0);
-  EXPECT_EQ(p.next_change_after(10), 25.0);
-  EXPECT_EQ(p.next_change_after(25), kInf);
+  ASSERT_EQ(p.segments().size(), 3u);
+  EXPECT_EQ(p.segments()[1].start, 10.0);
+  EXPECT_EQ(p.segments()[1].freq, 1.2 * GHz);
+  EXPECT_EQ(p.segments()[2].start, 25.0);
+  EXPECT_EQ(p.segments()[2].freq, 1.6 * GHz);
   EXPECT_EQ(p.min_freq(), 1.2 * GHz);
   EXPECT_EQ(p.max_freq(), 1.8 * GHz);
 }
@@ -76,10 +69,10 @@ TEST(FreqPlan, AppendGrowsReplacesAndCoalesces) {
   EXPECT_EQ(p.segments().size(), 2u);
   p.append(5, 1.2 * GHz);  // same-time append replaces the last segment
   EXPECT_EQ(p.segments().size(), 2u);
-  EXPECT_EQ(p.freq_at(5), 1.2 * GHz);
+  EXPECT_EQ(p.segments().back().freq, 1.2 * GHz);
   p.append(9, 1.2 * GHz);  // equal-frequency append coalesces
   EXPECT_EQ(p.segments().size(), 2u);
-  EXPECT_EQ(p.label(), "1.8GHz(+1seg)");
+  EXPECT_EQ(p.segments().back().start, 5.0);
   EXPECT_THROW(p.append(2, 1.6 * GHz), Error);  // start before last segment
 }
 
@@ -171,21 +164,6 @@ TEST(PowerModelClamp, CorePowerClampsAtBothTableBoundaries) {
     EXPECT_THROW(p.core_power(0), Error);
     EXPECT_THROW(p.core_power(-1 * GHz), Error);
   }
-}
-
-TEST(PowerModelPlan, DynamicEnergyOverSumsSegments) {
-  PowerModel p(atom());
-  SystemLoad load{.active_cores = 4, .avg_ipc = 1.0, .mem_gbps = 1.0, .disk_duty = 0.2};
-  FreqPlan plan({{0, 1.8 * GHz}, {10, 1.2 * GHz}});
-  // Single-segment reduces exactly to power * duration.
-  EXPECT_NEAR(p.dynamic_energy_over(load, FreqPlan::constant(1.6 * GHz), 3, 8),
-              p.dynamic_power(load, 1.6 * GHz) * 5, 1e-9);
-  // A window straddling the boundary splits at t=10.
-  Joules want = p.dynamic_power(load, 1.8 * GHz) * 4 + p.dynamic_power(load, 1.2 * GHz) * 6;
-  EXPECT_NEAR(p.dynamic_energy_over(load, plan, 6, 16), want, 1e-9);
-  // Windows entirely inside one segment see only that segment.
-  EXPECT_NEAR(p.dynamic_energy_over(load, plan, 12, 20),
-              p.dynamic_power(load, 1.2 * GHz) * 8, 1e-9);
 }
 
 TEST(PowerModelDraw, NodeDrawIsIdleFloorAtZeroCoresAndMonotone) {

@@ -8,16 +8,17 @@
 // integral exceeds capacity x elapsed time, and an uncontended flow
 // completes in the bottleneck-link closed form max-over-hops.
 //
-// The degenerate checks tie the fabric to the pricing stack: an
-// infinite fabric (single node, everything local) must price all six
-// paper workloads identically to the pre-fabric analytic NIC term,
-// and fabric-mode service runs must honor the same determinism
+// The degenerate checks tie the fabric to the rack replay: a one-node
+// rack's fabric (everything local) must replay all six paper
+// workloads identically to the per-node NIC queue it replaces, and
+// fabric-mode service runs must honor the same determinism
 // contract as the default path (byte-identical across executor
 // widths and reruns, distinct across seeds).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "arch/server_config.hpp"
 #include "core/characterizer.hpp"
 #include "core/cluster_sim.hpp"
-#include "perf/pricer.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network/fabric.hpp"
 #include "sim/network/topology.hpp"
@@ -584,7 +584,7 @@ TEST(FlowRouter, ShuffleDecomposesProportionallyAndConserves) {
 }
 
 // ---------------------------------------------------------------------------
-// Degenerate infinite fabric == the analytic NIC term
+// Degenerate one-node fabric == the per-node NIC queue
 // ---------------------------------------------------------------------------
 
 core::Characterizer& shared_ch() {
@@ -592,37 +592,37 @@ core::Characterizer& shared_ch() {
   return ch;
 }
 
-TEST(FabricModel, InfiniteFabricMatchesAnalyticShuffleTermOnAllSixWorkloads) {
-  // fabric.modeled with the degenerate single-node topology routes
-  // every byte as a local flow that pays only the destination NIC —
-  // arithmetic-identical to the analytic per-task NIC term the default
-  // replay charges. The paper's six workloads on both servers must
-  // price the same to <= 1e-9 (they are in fact bit-identical).
+TEST(FabricModel, OneNodeRackFabricMatchesTheNicQueueOnAllSixWorkloads) {
+  // fabric.modeled on a one-node rack routes every byte as a local
+  // flow that pays only the node's ingress NIC — arithmetic-identical
+  // to the NIC queue the unmodeled replay charges each task's shuffle
+  // volume at. One 1 GB job of each paper workload on either server
+  // must replay the same to <= 1e-9 (they are in fact bit-identical).
   core::Characterizer& ch = shared_ch();
-  perf::EventOptions deg;
-  deg.fabric.modeled = true;  // empty topology -> single_rack(1)
+  core::MixOptions modeled;
+  modeled.fabric.modeled = true;  // empty topology -> one rack
   for (const auto& server : {arch::xeon_e5_2420(), arch::atom_c2758()}) {
-    perf::EventPricer plain(server, ch.dfs(), ch.cluster_config());
-    perf::EventPricer modeled(server, ch.dfs(), ch.cluster_config(), deg);
+    const std::vector<core::NodeSpec> rack = {{server, 1}};
+    std::uint64_t flows = 0;
     for (wl::WorkloadId w : wl::all_workloads()) {
-      core::RunSpec spec;
-      spec.workload = w;
-      spec.input_size = 1 * GB;
-      const mr::JobTrace& trace = ch.trace(spec);
-      perf::RunResult a = plain.price(trace, spec.freq, spec.mappers);
-      perf::RunResult b = modeled.price(trace, spec.freq, spec.mappers);
+      const std::vector<core::JobRequest> job = {{w, 1 * GB}};
+      core::MixResult a = core::simulate_mix(ch, job, rack, core::MixPolicy::kEarliestFinish, 1);
+      core::MixResult b =
+          core::simulate_mix(ch, job, rack, core::MixPolicy::kEarliestFinish, 1, modeled);
       auto near = [&](double x, double y, const char* what) {
         EXPECT_LE(std::abs(x - y), 1e-9 * std::max({std::abs(x), std::abs(y), 1.0}))
             << server.name << "/" << wl::short_name(w) << " " << what;
       };
-      near(a.map.time, b.map.time, "map time");
-      near(a.reduce.time, b.reduce.time, "reduce time");
-      near(a.other.time, b.other.time, "other time");
-      near(a.map.net_time, b.map.net_time, "map net");
-      near(a.reduce.net_time, b.reduce.net_time, "reduce net");
-      near(a.total_time(), b.total_time(), "total time");
-      near(a.total_energy(), b.total_energy(), "total energy");
+      near(a.makespan, b.makespan, "makespan");
+      near(a.total_energy, b.total_energy, "total energy");
+      // The modeled run really went through the fabric, all of it local.
+      EXPECT_FALSE(a.fabric.modeled);
+      EXPECT_TRUE(b.fabric.modeled);
+      EXPECT_EQ(b.fabric.local_bytes, b.fabric.bytes_injected)
+          << server.name << "/" << wl::short_name(w);
+      flows += b.fabric.flows;
     }
+    EXPECT_GT(flows, 0u) << server.name;
   }
 }
 
