@@ -256,6 +256,30 @@ TEST(ClusterSim, EdxpAndValidation) {
   EXPECT_EQ(to_string(MixPolicy::kClassAware), "class-aware");
 }
 
+TEST(ClusterSim, ReduceSlowstartOverlapNeverSlowsALoneJob) {
+  // Hadoop's shipped slowstart (5% of the maps done) lets a job's
+  // reduces take slots and start shuffling under its map tail. One
+  // job alone on one node has no competitor for those slots, so the
+  // overlap can only shorten it, and on some workload it must.
+  MixOptions overlap;
+  overlap.reduce_slowstart = 0.05;
+  bool any_strictly_faster = false;
+  for (const auto& server : arch::paper_servers()) {
+    const std::vector<NodeSpec> rack = {{server, 1}};
+    for (wl::WorkloadId id : wl::all_workloads()) {
+      const std::vector<JobRequest> job = {{id, 1 * GB}};
+      MixResult serial = simulate_mix(shared_ch(), job, rack, MixPolicy::kEarliestFinish, 1);
+      MixResult early =
+          simulate_mix(shared_ch(), job, rack, MixPolicy::kEarliestFinish, 1, overlap);
+      EXPECT_LE(early.makespan, serial.makespan * (1 + 1e-9))
+          << server.name << "/" << wl::short_name(id);
+      if (early.makespan < serial.makespan * (1 - 1e-9)) any_strictly_faster = true;
+    }
+  }
+  EXPECT_TRUE(any_strictly_faster)
+      << "overlapping shuffle with the map tail should shorten at least one job";
+}
+
 TEST(ClusterSim, BothReplaysRejectBadMixOptions) {
   // One validator guards both replays. A negative slot count used to
   // fall through to the default (task_slots_for treats <= 0 as
