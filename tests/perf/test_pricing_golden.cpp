@@ -1,13 +1,19 @@
-// Pricing-golden regression: pins the AnalyticPricer (PerfModel::price)
-// output bit-for-bit. The fixture tests/golden/PRICES.golden was
-// generated from the pre-refactor closed-form model; the pricer split
-// (perf/task_cost + perf/pricer) must reproduce every field to the
-// last IEEE bit — the refactor changed the code layout, not one
-// floating-point operation. Regenerate (only after an *intentional*
-// model change) with:
+// Pricing-golden regression: pins both pricers' output bit-for-bit.
+//
+//   PRICES.golden  — the closed form (PerfModel::price), generated from
+//                    the pre-refactor model; the pricer split (perf/
+//                    task_cost + perf/pricer) must reproduce every field
+//                    to the last IEEE bit.
+//   JOB_SIM.golden — EventPricer::job_sim on the same six specs under
+//                    every NIC preset and DVFS level: the priced phases
+//                    plus a digest of every per-task demand the rack
+//                    replays consume.
+//
+// Regenerate (only after an *intentional* model change) with:
 //   BVL_UPDATE_GOLDEN=1 ./build/tests/test_perf --gtest_filter='PricingGolden.*'
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -15,12 +21,32 @@
 #include <string>
 #include <vector>
 
+#include "arch/dvfs.hpp"
 #include "core/characterizer.hpp"
 
 namespace bvl::perf {
 namespace {
 
-std::string fixture_path() { return std::string(BVL_GOLDEN_DIR) + "/PRICES.golden"; }
+std::string fixture_path(const char* name) { return std::string(BVL_GOLDEN_DIR) + "/" + name; }
+
+core::Characterizer& shared_ch() {
+  static core::Characterizer ch;  // both fixtures price the same six traces
+  return ch;
+}
+
+/// The six fixture specs: every paper workload at the reference block
+/// size, the real-data ones at 10 GB per node.
+std::vector<core::RunSpec> fixture_specs() {
+  std::vector<core::RunSpec> specs;
+  for (auto id : wl::all_workloads()) {
+    core::RunSpec spec;
+    spec.workload = id;
+    bool real = id == wl::WorkloadId::kNaiveBayes || id == wl::WorkloadId::kFpGrowth;
+    spec.input_size = real ? 10 * GB : 1 * GB;
+    specs.push_back(spec);
+  }
+  return specs;
+}
 
 void append_phase(std::ostringstream& out, const char* name, const PhaseResult& p) {
   char buf[512];
@@ -31,22 +57,17 @@ void append_phase(std::ostringstream& out, const char* name, const PhaseResult& 
   out << buf;
 }
 
-/// Every priced surface the fixture pins: six workloads x both servers
-/// x two frequencies x two slot counts at the reference block size.
-std::string render_all() {
-  core::Characterizer ch;
+/// Every priced surface PRICES.golden pins: six workloads x both
+/// servers x two frequencies x two slot counts.
+std::string render_prices() {
   std::ostringstream out;
-  for (auto id : wl::all_workloads()) {
-    core::RunSpec spec;
-    spec.workload = id;
-    bool real = id == wl::WorkloadId::kNaiveBayes || id == wl::WorkloadId::kFpGrowth;
-    spec.input_size = real ? 10 * GB : 1 * GB;
+  for (core::RunSpec spec : fixture_specs()) {
     for (const auto& server : arch::paper_servers()) {
       for (Hertz freq : {1.2 * GHz, 1.8 * GHz}) {
         for (int slots : {4, 8}) {
           spec.freq = freq;
           spec.mappers = slots;
-          RunResult r = ch.run(spec, server);
+          RunResult r = shared_ch().run(spec, server);
           out << "run " << r.workload << " " << r.server << " freq=" << freq / GHz
               << " slots=" << slots << "\n";
           append_phase(out, "map", r.map);
@@ -59,21 +80,86 @@ std::string render_all() {
   return out.str();
 }
 
-TEST(PricingGolden, AnalyticPricerMatchesFixture) {
-  std::string live = render_all();
-  if (std::getenv("BVL_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream f(fixture_path());
-    ASSERT_TRUE(f.good()) << "cannot write " << fixture_path();
-    f << live;
-    GTEST_SKIP() << "fixture regenerated at " << fixture_path();
+/// 64-bit FNV-1a over `s`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
   }
-  std::ifstream f(fixture_path());
-  ASSERT_TRUE(f.good()) << "missing fixture " << fixture_path()
-                        << " (run once with BVL_UPDATE_GOLDEN=1)";
+  return h;
+}
+
+/// Digest of every SimTask field, map tasks then reduce tasks, each
+/// printed exactly (%a) so a one-ulp change moves the digest.
+std::uint64_t task_digest(const JobSim& js) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto* tasks : {&js.map_tasks, &js.reduce_tasks}) {
+    for (const SimTask& t : *tasks) {
+      char buf[512];
+      std::snprintf(buf, sizeof(buf), "%a %a %a %a %a %a %a\n", t.cpu_s, t.disk_svc_s,
+                    t.nic_svc_s, t.serial_s, t.backoff_s, t.net_bytes, t.energy);
+      h = fnv1a(h, buf);
+    }
+    h = fnv1a(h, "|");
+  }
+  return h;
+}
+
+std::string phase_fields(const PhaseResult& p) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", p.time,
+                p.cpu_time, p.io_time, p.net_time, p.dynamic_power, p.energy, p.avg_ipc);
+  return buf;
+}
+
+/// Every job_sim render JOB_SIM.golden pins: the six specs x both
+/// servers x slots {4, 8} x the three NIC presets x the four DVFS
+/// levels, one line each.
+std::string render_job_sims() {
+  std::ostringstream out;
+  for (const core::RunSpec& spec : fixture_specs()) {
+    const mr::JobTrace& trace = shared_ch().trace(spec);
+    for (const auto& server : arch::paper_servers()) {
+      for (int slots : {4, 8}) {
+        for (sim::NicPresetId nic :
+             {sim::NicPresetId::k1GbE, sim::NicPresetId::k10GbE, sim::NicPresetId::k40GbE}) {
+          const EventPricer& pricer = shared_ch().event_pricer(server, nic);
+          for (Hertz freq : arch::paper_frequency_sweep()) {
+            JobSim js = pricer.job_sim(trace, freq, slots);
+            char tail[160];
+            std::snprintf(tail, sizeof(tail),
+                          " other_s=%.17g other_energy=%.17g maps=%zu reduces=%zu tasks=%016llx",
+                          js.other_s, js.other_energy, js.map_tasks.size(),
+                          js.reduce_tasks.size(),
+                          static_cast<unsigned long long>(task_digest(js)));
+            out << "job " << trace.workload << " " << server.name << " slots=" << slots
+                << " nic=" << sim::to_string(nic) << " freq=" << freq / GHz
+                << " map=" << phase_fields(js.priced.map)
+                << " reduce=" << phase_fields(js.priced.reduce)
+                << " other=" << phase_fields(js.priced.other) << tail << "\n";
+          }
+        }
+      }
+    }
+  }
+  return out.str();
+}
+
+/// Compares `live` with the fixture line by line, so a divergence
+/// names the first bad field; with BVL_UPDATE_GOLDEN set, rewrites it.
+void expect_matches_fixture(const std::string& live, const char* name) {
+  const std::string path = fixture_path(name);
+  if (std::getenv("BVL_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream f(path);
+    ASSERT_TRUE(f.good()) << "cannot write " << path;
+    f << live;
+    GTEST_SKIP() << "fixture regenerated at " << path;
+  }
+  std::ifstream f(path);
+  ASSERT_TRUE(f.good()) << "missing fixture " << path << " (run once with BVL_UPDATE_GOLDEN=1)";
   std::stringstream want;
   want << f.rdbuf();
 
-  // Compare line by line so a divergence names the first bad field.
   std::istringstream a(want.str()), b(live);
   std::string la, lb;
   std::size_t line = 0;
@@ -83,6 +169,14 @@ TEST(PricingGolden, AnalyticPricerMatchesFixture) {
     ASSERT_EQ(la, lb) << "first divergence at line " << line;
   }
   EXPECT_FALSE(std::getline(b, lb)) << "live output has extra lines after " << line;
+}
+
+TEST(PricingGolden, AnalyticPricerMatchesFixture) {
+  expect_matches_fixture(render_prices(), "PRICES.golden");
+}
+
+TEST(PricingGolden, EventJobSimMatchesFixture) {
+  expect_matches_fixture(render_job_sims(), "JOB_SIM.golden");
 }
 
 }  // namespace
