@@ -63,10 +63,12 @@ int main(int argc, char** argv) {
   };
   // Valued flags go through string_util::match_flag so `--flag VALUE`
   // and `--flag=VALUE` parse identically everywhere; any unmatched
-  // argument is still an unknown option (exit 2). Returns 0 when the
-  // argument is not `flag`, 1 when a value was captured, -1 when the
-  // bare form had no next argument (bad_args already set).
-  auto valued = [&](std::string_view a, int& i, const char* flag, std::string* out) -> int {
+  // argument is still an unknown option (exit 2), and so is an empty
+  // value, which would otherwise read as the flag being absent. Returns
+  // 0 when the argument is not `flag`, 1 when a value was captured, -1
+  // when the bare form had no next argument (bad_args already set).
+  auto valued = [&](std::string_view a, int& i, const char* flag, const char* expected,
+                    std::string* out) -> int {
     std::string_view inline_value;
     FlagMatch m = match_flag(a, flag, &inline_value);
     if (m == FlagMatch::kNoMatch) return 0;
@@ -77,6 +79,7 @@ int main(int argc, char** argv) {
     } else {
       *out = std::string(inline_value);
     }
+    if (out->empty()) bench::reject_flag(argv[0], flag, expected, "");
     return 1;
   };
   for (int i = 1; i < argc; ++i) {
@@ -86,11 +89,11 @@ int main(int argc, char** argv) {
     else if (a == "--all") all = true;
     else if (a == "--check") check = true;
     else if (a == "--help" || a == "-h") help = true;
-    else if (int r = valued(a, i, "--run", &run_id); r != 0) {
+    else if (int r = valued(a, i, "--run", "a figure id", &run_id); r != 0) {
       if (r > 0) run_ids.push_back(run_id);
-    } else if (valued(a, i, "--json", &json_dir) != 0) {
-    } else if (valued(a, i, "--csv", &csv_dir) != 0) {
-    } else if (valued(a, i, "--policy", &policy_name) != 0) {
+    } else if (valued(a, i, "--json", "a directory", &json_dir) != 0) {
+    } else if (valued(a, i, "--csv", "a directory", &csv_dir) != 0) {
+    } else if (valued(a, i, "--policy", "a placement policy", &policy_name) != 0) {
     } else if (match_flag(a, "--threads", nullptr) != FlagMatch::kNoMatch) {
       if (a == "--threads") ++i;  // value consumed by bench::init below
     } else if (match_flag(a, "--cache-dir", nullptr) != FlagMatch::kNoMatch) {

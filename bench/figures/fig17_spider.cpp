@@ -35,8 +35,8 @@ Report build(Context& ctx) {
       return nullptr;
     };
     for (const auto& p : sweep) {
-      std::string label = (p.server == arch::xeon_e5_2420().name ? "X" : "A") +
-                          std::to_string(p.cores);
+      std::string label = p.server == arch::xeon_e5_2420().name ? "X" : "A";
+      label += std::to_string(p.cores);
       double edp_n = p.metrics.edp() / xeon8->metrics.edp();
       double edap_n = p.metrics.edap() / xeon8->metrics.edap();
       t.add_row({Cell::txt(label), report::fixed(edp_n, 2),

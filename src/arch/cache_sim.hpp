@@ -51,7 +51,6 @@ class CacheSim {
 
   void reset();
 
-  int num_sets() const { return num_sets_; }
   int associativity() const { return assoc_; }
 
  private:

@@ -10,7 +10,7 @@
 // workload plus mr::trace_key of the JobConfig the engine runs, i.e.
 // every input that can change trace contents (exec_threads excluded,
 // inactive fault plans keyed as one). It deliberately excludes the
-// operating point (server, frequency, mappers, pricer kind): including
+// operating point (server, frequency, mappers) and the pricer: including
 // those would only duplicate bit-identical payloads.
 //
 // File format (versioned, endian-stable: every integer is fixed-width

@@ -9,12 +9,10 @@
 namespace bvl::core {
 namespace {
 
-// Cached pricer for (server, slot), made on a miss. The name only
+// Cached pricer for (server, key), made on a miss. The key only
 // narrows the search: a hit needs the whole server to match.
-template <class Pricers, class Make>
-const perf::Pricer& find_or_make(Pricers& pricers, const arch::ServerConfig& server, int slot,
-                                 Make make) {
-  auto key = std::make_pair(server.name, slot);
+template <class Pricers, class Key, class Make>
+auto& find_or_make(Pricers& pricers, const arch::ServerConfig& server, const Key& key, Make make) {
   auto [lo, hi] = pricers.equal_range(key);
   for (auto it = lo; it != hi; ++it) {
     if (it->second->server() == server) return *it->second;
@@ -134,38 +132,23 @@ void Characterizer::prefetch(const std::vector<RunSpec>& specs, int threads) {
   parallel_for(threads, missing.size(), [&](std::size_t i) { trace(*missing[i]); });
 }
 
-const perf::Pricer& Characterizer::pricer(const arch::ServerConfig& server,
-                                          perf::PricerKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return find_or_make(pricers_, server, static_cast<int>(kind),
-                      [&] { return perf::make_pricer(kind, server, dfs_, cluster_); });
-}
-
-const perf::EventPricer& Characterizer::event_pricer(const arch::ServerConfig& server) {
-  return static_cast<const perf::EventPricer&>(pricer(server, perf::PricerKind::kEvent));
-}
-
 const perf::EventPricer& Characterizer::event_pricer(const arch::ServerConfig& server,
                                                      sim::NicPresetId nic) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Packed alongside the kind so the identity preset (k1GbE == 0)
-  // lands on the plain kEvent entry — default callers share one
-  // pricer with the preset-aware path.
-  const int slot = static_cast<int>(perf::PricerKind::kEvent) + 256 * static_cast<int>(nic);
-  return static_cast<const perf::EventPricer&>(find_or_make(pricers_, server, slot, [&] {
+  return find_or_make(event_pricers_, server, std::make_pair(server.name, nic), [&] {
     return std::make_unique<perf::EventPricer>(server, dfs_, cluster_, nic);
-  }));
+  });
 }
 
 perf::RunResult Characterizer::run(const RunSpec& spec, const arch::ServerConfig& server) {
-  return run(spec, server, perf::PricerKind::kAnalytic);
-}
-
-perf::RunResult Characterizer::run(const RunSpec& spec, const arch::ServerConfig& server,
-                                   perf::PricerKind kind) {
   const mr::JobTrace& t = trace(spec);
-  // price() is const/stateless; the cached pricer is shared.
-  return pricer(server, kind).price(t, spec.freq, spec.mappers);
+  std::unique_lock<std::mutex> lock(mu_);
+  const perf::PerfModel& model = find_or_make(models_, server, server.name, [&] {
+    return std::make_unique<perf::PerfModel>(server, dfs_, cluster_);
+  });
+  lock.unlock();
+  // price() is const/stateless; the cached model is shared.
+  return model.price(t, spec.freq, spec.mappers);
 }
 
 std::pair<perf::RunResult, perf::RunResult> Characterizer::run_pair(const RunSpec& spec) {

@@ -73,28 +73,15 @@ class Characterizer {
   int engine_runs() const { return engine_runs_.load(); }
 
   /// Prices the spec's trace on `server` at the spec's operating
-  /// point with the analytic (closed-form) pricer — the default every
-  /// figure and golden is pinned against.
+  /// point with the closed form — the pricer every figure and golden
+  /// is pinned against.
   perf::RunResult run(const RunSpec& spec, const arch::ServerConfig& server);
 
-  /// Same, with an explicit pricer kind (kEvent replays the trace on
-  /// the discrete-event kernel).
-  perf::RunResult run(const RunSpec& spec, const arch::ServerConfig& server,
-                      perf::PricerKind kind);
-
-  /// Cached pricer for (server, kind) — pricers are stateless after
-  /// construction, so references stay valid and shareable.
-  const perf::Pricer& pricer(const arch::ServerConfig& server, perf::PricerKind kind);
-
-  /// The event pricer, typed: cluster_sim needs its job_sim() surface.
-  const perf::EventPricer& event_pricer(const arch::ServerConfig& server);
-
-  /// Same, with the server's NIC demands priced under an endpoint
-  /// preset (sim/network/nic_preset.hpp): per-task nic_svc_s and the
-  /// analytic net term use the preset's achievable rate instead of the
-  /// raw cluster line rate. kNic1GbE is the identity preset and shares
-  /// the default entry — callers passing the default get the same
-  /// pricer, bit for bit.
+  /// Cached event pricer for `server` with its NIC demands priced
+  /// under an endpoint preset (sim/network/nic_preset.hpp): per-task
+  /// nic_svc_s and the net term use the preset's achievable rate.
+  /// Pricers are stateless after construction, so references stay
+  /// valid and shareable; cluster_sim needs the job_sim() surface.
   const perf::EventPricer& event_pricer(const arch::ServerConfig& server,
                                         sim::NicPresetId nic);
 
@@ -141,18 +128,19 @@ class Characterizer {
   int exec_threads_ = 0;
   mr::Engine engine_;
   std::unique_ptr<CharCache> disk_;  ///< optional persistent trace cache
-  std::mutex mu_;  ///< guards cache_, in_flight_ and pricers_ (node refs stay stable)
+  std::mutex mu_;  ///< guards the trace and pricer caches (node refs stay stable)
   std::map<std::string, mr::JobTrace> cache_;
   /// Keys some caller is loading or characterizing right now. Later
   /// callers of the key wait on the future; the entry is erased when
   /// the first caller stores the trace or throws.
   std::map<std::string, std::shared_future<const mr::JobTrace*>> in_flight_;
   std::atomic<int> engine_runs_{0};
-  /// Pricer cache keyed by (server name, pricer kind): the same server
-  /// carries one closed-form and one event-driven pricer side by side.
-  /// A hit also needs the pricer's server to equal the caller's in
+  /// Pricer caches keyed by the server's name (and the NIC preset):
+  /// a hit also needs the pricer's server to equal the caller's in
   /// full, so a modified copy that keeps a preset's name gets its own.
-  std::multimap<std::pair<std::string, int>, std::unique_ptr<perf::Pricer>> pricers_;
+  std::multimap<std::string, std::unique_ptr<perf::PerfModel>> models_;
+  std::multimap<std::pair<std::string, sim::NicPresetId>, std::unique_ptr<perf::EventPricer>>
+      event_pricers_;
 };
 
 }  // namespace bvl::core

@@ -20,9 +20,4 @@ CostMetrics metrics_for(const perf::RunResult& run, double area_mm2) {
   return {run.total_energy(), run.total_time(), area_mm2};
 }
 
-CostMetrics metrics_for_phase(const perf::PhaseResult& phase, double area_mm2) {
-  require(area_mm2 > 0, "metrics_for_phase: non-positive area");
-  return {phase.energy, phase.time, area_mm2};
-}
-
 }  // namespace bvl::core

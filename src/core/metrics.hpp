@@ -33,7 +33,4 @@ struct CostMetrics {
 /// area.
 CostMetrics metrics_for(const perf::RunResult& run, double area_mm2);
 
-/// Metrics for one phase of a priced run.
-CostMetrics metrics_for_phase(const perf::PhaseResult& phase, double area_mm2);
-
 }  // namespace bvl::core

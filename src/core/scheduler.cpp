@@ -37,15 +37,6 @@ Allocation schedule_measured(Characterizer& ch, const RunSpec& spec, const Goal&
   return a;
 }
 
-Allocation schedule_measured_degraded(Characterizer& ch, RunSpec spec, double straggler_prob,
-                                      double straggler_factor, const Goal& goal) {
-  spec.fault.straggler_prob = straggler_prob;
-  spec.fault.straggler_factor = straggler_factor;
-  Allocation a = schedule_measured(ch, spec, goal);
-  a.rationale += " (degraded: straggler_prob=" + std::to_string(straggler_prob) + ")";
-  return a;
-}
-
 Allocation clamp_to_pool(Allocation a, const CorePool& pool) {
   require(pool.xeon_cores >= 0 && pool.atom_cores >= 0, "clamp_to_pool: negative pool");
   if (pool.xeon_cores == 0 && pool.atom_cores == 0) return {0, 0, a.rationale + " (empty pool)"};

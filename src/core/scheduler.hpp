@@ -53,16 +53,6 @@ Allocation schedule_by_class(AppClass cls, const Goal& goal);
 /// decisions pinned.
 Allocation schedule_measured(Characterizer& ch, const RunSpec& spec, const Goal& goal);
 
-/// Straggler-aware variant for degraded clusters: injects a seeded
-/// background straggler process (probability / progress-rate divisor)
-/// into `spec` and schedules under the degraded ED^xP surface.
-/// Low-power nodes see more stragglers than big-core servers, and the
-/// stretch they add is CPU time — so fault pressure shifts the
-/// big-vs-little argmin on compute-bound apps, which is exactly what
-/// this entry point lets callers reason about.
-Allocation schedule_measured_degraded(Characterizer& ch, RunSpec spec, double straggler_prob,
-                                      double straggler_factor, const Goal& goal);
-
 /// Available heterogeneous pool (X Xeon + Y Atom cores).
 struct CorePool {
   int xeon_cores = 8;

@@ -99,6 +99,4 @@ struct KVRef {
 
 static_assert(sizeof(KVRef) == 16, "KVRef must stay at Hadoop's METASIZE");
 
-inline bool kv_key_less(const KV& a, const KV& b) { return a.key < b.key; }
-
 }  // namespace bvl::mr

@@ -55,12 +55,4 @@ WorkCounters JobTrace::wasted_total() const {
   return total;
 }
 
-WorkCounters JobTrace::job_total() const {
-  WorkCounters total = map_total();
-  total.add(reduce_total());
-  total.add(setup);
-  total.add(cleanup);
-  return total;
-}
-
 }  // namespace bvl::mr

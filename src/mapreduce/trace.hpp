@@ -57,7 +57,6 @@ struct JobTrace {
 
   WorkCounters map_total() const;
   WorkCounters reduce_total() const;
-  WorkCounters job_total() const;
 
   // Fault-recovery aggregates (all zero/neutral on a fault-free run).
   int total_attempts() const;         ///< Σ attempts over map + reduce tasks

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "perf/task_cost.hpp"
+#include "sim/network/nic_preset.hpp"
 #include "util/error.hpp"
 
 namespace bvl::perf {
@@ -25,24 +25,6 @@ PhaseResult RunResult::whole() const {
   return PhaseResult::combine(PhaseResult::combine(map, reduce), other);
 }
 
-struct PerfModel::PhaseWork {
-  const arch::Signature* sig = nullptr;
-  int ntasks = 0;
-  double total_inst = 0;
-  double ws_bytes = 64.0 * 1024;  ///< per-task working set
-  double device_bytes = 0;        ///< bytes hitting the shared disk
-  double seeks = 0;
-  double net_bytes = 0;
-  double mem_refs_per_inst = 0.35;
-  double locality_theta = 0.8;
-  Seconds fixed_s = 0;  ///< unconditional wall time (job setup etc.)
-
-  // Fault accounting (empty/zero on fault-free traces).
-  std::vector<double> time_factors;  ///< per-task completion-time multiplier
-  double wasted_inst = 0;            ///< instructions of failed/killed attempts
-  Seconds backoff_s = 0;             ///< total retry backoff wait across tasks
-};
-
 PerfModel::PerfModel(arch::ServerConfig server, hdfs::DfsConfig dfs, ClusterConfig cluster)
     : server_(std::move(server)),
       dfs_(dfs),
@@ -52,136 +34,135 @@ PerfModel::PerfModel(arch::ServerConfig server, hdfs::DfsConfig dfs, ClusterConf
       power_(server_) {
   require(cluster_.nodes >= 1, "PerfModel: at least one node");
   require(cluster_.net_mbps > 0, "PerfModel: non-positive network rate");
+  line_rate_ = sim::nic_preset(sim::NicPresetId::k1GbE)
+                   .endpoint_bytes_per_s(cluster_.net_mbps, server_.network_efficiency);
 }
 
-double PerfModel::signature_ipc(const arch::Signature& sig, double ws_bytes, Hertz freq) const {
-  return core_model_.ipc(sig, ws_bytes, freq, 1);
+JobCost PerfModel::extract(const mr::JobTrace& trace, int slots) const {
+  return extract_job_cost(trace, server_, storage_, dfs_, cluster_, slots);
 }
 
-PhaseResult PerfModel::price_phase(const PhaseWork& w, Hertz freq, int slots) const {
-  PhaseResult r;
-  if (w.ntasks == 0 && w.fixed_s == 0 && w.total_inst == 0) return r;
+PhaseTerms PerfModel::phase_terms(const PhaseCost& pc, Hertz freq, int slots,
+                                  double net_bytes_per_s, SumOrder order) const {
+  PhaseTerms t;
+  t.ntasks = pc.ntasks();
+  t.active = std::max(1, std::min({slots, std::max(1, t.ntasks), server_.cores}));
 
-  int active = std::max(1, std::min({slots, std::max(1, w.ntasks), server_.cores}));
-  double waves = w.ntasks > 0
-                     ? std::ceil(static_cast<double>(w.ntasks) / static_cast<double>(active))
-                     : 0.0;
-
-  // A wave lasts as long as its slowest task: with per-task fault
-  // time factors, the per-wave CPU multiplier is the sum over waves
-  // (index-order assignment, `active` tasks each) of the wave's max
-  // factor. All-ones factors reduce to exactly `waves`.
-  double wave_stretch = waves;
-  if (!w.time_factors.empty()) {
-    require(static_cast<int>(w.time_factors.size()) == w.ntasks,
-            "PerfModel: time_factors/ntasks mismatch");
-    wave_stretch = 0;
-    for (std::size_t b = 0; b < w.time_factors.size(); b += static_cast<std::size_t>(active)) {
-      std::size_t e = std::min(w.time_factors.size(), b + static_cast<std::size_t>(active));
-      double slowest = 0;
-      for (std::size_t i = b; i < e; ++i) slowest = std::max(slowest, w.time_factors[i]);
-      wave_stretch += slowest;
+  double total_inst = pc.fixed_inst;
+  double wasted_inst = 0;  // instructions of failed/killed attempts
+  double device_bytes = pc.fixed_device_bytes;
+  double seeks = pc.fixed_seeks;
+  double net_bytes = 0;
+  Seconds backoff = 0;
+  for (const TaskCost& tc : pc.tasks) {
+    seeks += tc.seeks;
+    backoff += tc.backoff_s;
+    if (order == SumOrder::kTaskTotals) {
+      device_bytes += tc.total_device_bytes();
+      net_bytes += tc.total_net_bytes();
+      total_inst += tc.total_inst();
+      wasted_inst += tc.wasted_inst;
+      continue;
+    }
+    // The pre-split per-task loops, statement for statement (the
+    // separate += for codec instructions matches the original
+    // `if (compress)` +=), so every sum rounds identically.
+    device_bytes += tc.device_bytes;
+    net_bytes += tc.net_bytes;
+    total_inst += tc.inst;
+    total_inst += tc.codec_inst;
+    if (tc.retried) {
+      device_bytes += tc.wasted_device_bytes;
+      net_bytes += tc.wasted_net_bytes;
+      wasted_inst += tc.wasted_inst;
     }
   }
 
+  // A wave lasts as long as its slowest task: the per-wave CPU
+  // multiplier is the sum over waves (index-order assignment, `active`
+  // tasks each) of the wave's max fault time factor. All-ones factors
+  // reduce to exactly the wave count.
+  const double waves = std::ceil(static_cast<double>(t.ntasks) / static_cast<double>(t.active));
+  double wave_stretch = 0;
+  for (std::size_t b = 0; b < pc.tasks.size(); b += static_cast<std::size_t>(t.active)) {
+    std::size_t e = std::min(pc.tasks.size(), b + static_cast<std::size_t>(t.active));
+    double slowest = 0;
+    for (std::size_t i = b; i < e; ++i) slowest = std::max(slowest, pc.tasks[i].time_factor);
+    wave_stretch += slowest;
+  }
+  // A task-less phase (setup/cleanup) runs its instructions once.
+  if (t.ntasks == 0) wave_stretch = 1;
+
   // CPU component: waves of parallel tasks plus launch overhead.
-  Seconds cpu = 0;
-  double ipc = 1.0;
-  if (w.ntasks > 0 && w.total_inst > 0) {
-    double mean_inst = w.total_inst / static_cast<double>(w.ntasks);
-    arch::CpiBreakdown cpi = core_model_.cpi(*w.sig, w.ws_bytes, freq, active);
-    ipc = cpi.ipc();
-    cpu = wave_stretch * (mean_inst * cpi.total() / freq);
-  } else if (w.total_inst > 0) {
-    arch::CpiBreakdown cpi = core_model_.cpi(*w.sig, w.ws_bytes, freq, 1);
-    ipc = cpi.ipc();
-    cpu = w.total_inst * cpi.total() / freq;
+  if (total_inst > 0) {
+    arch::CpiBreakdown cpi = core_model_.cpi(*pc.sig, pc.ws_bytes, freq, t.active);
+    t.ipc = cpi.ipc();
+    double mean_inst = t.ntasks > 0 ? total_inst / static_cast<double>(t.ntasks) : total_inst;
+    t.task_s = mean_inst * cpi.total() / freq;
   }
   // Task launch (JVM fork, class loading) is CPU work: the little
   // core pays its launch factor, and launches speed up with f — one
   // reason Atom is more sensitive to both frequency and block size.
-  double launch = dfs_.per_task_overhead_s * server_.task_launch_factor *
-                  (1.8 * GHz / freq);
-  cpu += waves * launch;
-  cpu += static_cast<double>(w.ntasks) * cluster_.master_per_task_s;
+  t.launch_s = dfs_.per_task_overhead_s * server_.task_launch_factor * (1.8 * GHz / freq);
+  t.cpu = wave_stretch * t.task_s + waves * t.launch_s +
+          static_cast<double>(t.ntasks) * cluster_.master_per_task_s;
 
   // I/O component: one shared device per node.
-  Seconds io = storage_.transfer_time(static_cast<Bytes>(w.device_bytes),
-                                      static_cast<std::uint64_t>(w.seeks));
+  t.io = storage_.transfer_time(static_cast<Bytes>(device_bytes),
+                                static_cast<std::uint64_t>(seeks));
 
   // Network component: shuffle crossing the NIC at this node's
   // sustainable rate.
-  Seconds net = w.net_bytes / (cluster_.net_mbps * 1e6 * server_.network_efficiency);
+  t.net = net_bytes / net_bytes_per_s;
 
+  t.floor = pc.fixed_s + std::max({t.cpu, t.io, t.net}) + overlap_s(t.cpu, t.io, t.net);
+  t.backoff = backoff / t.active;
+
+  // DRAM traffic estimate for the power model: LLC misses move lines,
+  // plus the I/O path is DMA through memory.
+  double llc_miss =
+      pc.sig ? core_model_.caches().llc_miss_ratio(pc.ws_bytes, pc.locality_theta, t.active)
+             : 0.05;
+  t.dram_bytes = (total_inst + wasted_inst) * pc.mem_refs_per_inst * llc_miss * 64.0 + device_bytes;
+  return t;
+}
+
+Seconds PerfModel::overlap_s(Seconds cpu, Seconds io, Seconds net) const {
   Seconds longest = std::max({cpu, io, net});
-  Seconds rest = cpu + io + net - longest;
-  r.time = w.fixed_s + longest + cluster_.overlap_penalty * rest;
-  r.cpu_time = cpu;
-  r.io_time = io;
-  r.net_time = net;
-  r.avg_ipc = ipc;
+  return cluster_.overlap_penalty * (cpu + io + net - longest);
+}
 
+Watts PerfModel::dynamic_power(const PhaseTerms& t, Hertz freq, Seconds busy_s) const {
+  power::SystemLoad load;
+  load.active_cores = t.active;
+  load.avg_ipc = t.ipc;
+  load.mem_gbps = t.dram_bytes / busy_s / 1e9;
+  load.disk_duty = std::clamp(t.io / busy_s, 0.0, 1.0);
+  return power_.dynamic_power(load, freq);
+}
+
+PhaseResult PerfModel::price_phase(const PhaseCost& pc, Hertz freq, int slots) const {
+  PhaseResult r;
+  if (pc.empty()) return r;
+  const PhaseTerms t = phase_terms(pc, freq, slots, line_rate_, SumOrder::kClosedForm);
+  r.time = t.floor;
+  r.cpu_time = t.cpu;
+  r.io_time = t.io;
+  r.net_time = t.net;
+  r.avg_ipc = t.ipc;
   if (r.time > 0) {
-    // DRAM traffic estimate for the power model: LLC misses move
-    // lines, plus the I/O path is DMA through memory.
-    double llc_miss =
-        w.sig ? core_model_.caches().llc_miss_ratio(w.ws_bytes, w.locality_theta, active) : 0.05;
-    double dram_bytes =
-        (w.total_inst + w.wasted_inst) * w.mem_refs_per_inst * llc_miss * 64.0 + w.device_bytes;
-    power::SystemLoad load;
-    load.active_cores = w.ntasks > 0 ? active : 1;
-    load.avg_ipc = ipc;
-    load.mem_gbps = dram_bytes / r.time / 1e9;
-    load.disk_duty = std::clamp(io / r.time, 0.0, 1.0);
-    r.dynamic_power = power_.dynamic_power(load, freq);
+    r.dynamic_power = dynamic_power(t, freq, r.time);
     r.energy = r.dynamic_power * r.time;
   }
 
   // Retry backoff: waiting slots add wall-clock (amortized over the
   // active slots) but no dynamic energy — the paper's idle-subtracted
   // power methodology measures an idle cluster as zero.
-  if (w.backoff_s > 0) {
-    r.time += w.backoff_s / static_cast<double>(active);
+  if (t.backoff > 0) {
+    r.time += t.backoff;
     if (r.time > 0) r.dynamic_power = r.energy / r.time;
   }
   return r;
-}
-
-// Rebuilds the closed form's phase aggregates from the extracted
-// per-task records. The accumulation order (and the separate += for
-// base vs. codec instructions) mirrors the pre-split per-task loops
-// statement for statement so every sum rounds identically — the
-// PRICES.golden fixture holds this to the last bit.
-PerfModel::PhaseWork PerfModel::phase_work(const PhaseCost& pc) const {
-  PhaseWork w;
-  w.sig = pc.sig;
-  w.ntasks = pc.ntasks();
-  w.ws_bytes = pc.ws_bytes;
-  w.mem_refs_per_inst = pc.mem_refs_per_inst;
-  w.locality_theta = pc.locality_theta;
-  w.fixed_s = pc.fixed_s;
-  w.device_bytes = pc.fixed_device_bytes;
-  w.seeks = pc.fixed_seeks;
-  w.total_inst = pc.fixed_inst;
-  w.time_factors.reserve(pc.tasks.size());
-  for (const auto& t : pc.tasks) {
-    w.device_bytes += t.device_bytes;
-    w.seeks += t.seeks;
-    w.net_bytes += t.net_bytes;
-    w.total_inst += t.inst;
-    w.total_inst += t.codec_inst;  // separate add: matches the original `if (compress)` +=
-    w.time_factors.push_back(t.time_factor);
-    w.backoff_s += t.backoff_s;
-    if (t.retried) {
-      w.device_bytes += t.wasted_device_bytes;
-      w.net_bytes += t.wasted_net_bytes;
-      w.wasted_inst += t.wasted_inst;
-    }
-  }
-  // Task-less phases keep the closed form's ntasks==0 early-exit
-  // semantics: no time_factors means wave_stretch falls back to waves.
-  if (pc.tasks.empty()) w.time_factors.clear();
-  return w;
 }
 
 RunResult PerfModel::price(const mr::JobTrace& trace, Hertz freq, int slots) const {
@@ -196,10 +177,10 @@ RunResult PerfModel::price(const mr::JobTrace& trace, Hertz freq, int slots) con
   result.input_size = trace.config.input_size;
   result.mappers = slots;
 
-  JobCost jc = extract_job_cost(trace, server_, storage_, dfs_, cluster_, slots);
-  result.map = price_phase(phase_work(jc.map), freq, slots);
-  if (!jc.reduce.empty()) result.reduce = price_phase(phase_work(jc.reduce), freq, slots);
-  result.other = price_phase(phase_work(jc.other), freq, slots);
+  JobCost jc = extract(trace, slots);
+  result.map = price_phase(jc.map, freq, slots);
+  result.reduce = price_phase(jc.reduce, freq, slots);
+  result.other = price_phase(jc.other, freq, slots);
   return result;
 }
 

@@ -11,7 +11,9 @@
 //   time = max(cpu, io, net) + (1 - overlap) * rest
 // so compute-bound phases parallelize with slots while I/O-bound
 // phases saturate the disk — the mechanism behind every block-size
-// and core-count trend in the paper.
+// and core-count trend in the paper. PerfModel::phase_terms is the one
+// implementation of these terms; EventPricer (perf/pricer.hpp) replays
+// them task by task.
 //
 // Fault accounting (mapreduce/fault.hpp): a trace produced under an
 // active FaultPlan carries per-task attempt/waste/backoff fields.
@@ -81,6 +83,36 @@ struct RunResult {
   PhaseResult whole() const;
 };
 
+struct PhaseCost;  // perf/task_cost.hpp
+struct JobCost;
+
+/// How PerfModel::phase_terms sums a phase's per-task records. The two
+/// orders differ only in rounding, and a golden pins each: kClosedForm
+/// adds a task's committed work, codec instructions and retry residue
+/// one by one, as the pre-split model did (PRICES.golden); kTaskTotals
+/// adds each task's totals, as the event replay always has
+/// (JOB_SIM.golden, and the rack replays' MIX and BATCH_RACK goldens,
+/// whose TeraSort jobs compress their map output).
+enum class SumOrder { kClosedForm, kTaskTotals };
+
+/// The closed form's terms for one phase on one server at one
+/// operating point. The closed form charges them as they are;
+/// EventPricer splits them into per-task demands and floors its replay
+/// at their `floor`.
+struct PhaseTerms {
+  int ntasks = 0;
+  int active = 1;         ///< occupied slots: min(slots, tasks, cores), at least 1
+  double ipc = 1.0;
+  Seconds task_s = 0;     ///< one task's compute at the phase-mean instruction count
+  Seconds launch_s = 0;   ///< task launch, paid once per wave
+  Seconds cpu = 0;        ///< wave-stretched compute + launch + serialized master
+  Seconds io = 0;         ///< shared-disk transfer time
+  Seconds net = 0;        ///< NIC transfer time
+  Seconds floor = 0;      ///< fixed time + max(cpu, io, net) + overlap penalty of the rest
+  Seconds backoff = 0;    ///< retry backoff, amortized over the active slots
+  double dram_bytes = 0;  ///< DRAM traffic the power model charges
+};
+
 class PerfModel {
  public:
   PerfModel(arch::ServerConfig server, hdfs::DfsConfig dfs = {}, ClusterConfig cluster = {});
@@ -90,24 +122,37 @@ class PerfModel {
   /// `slots` defaults to the server's core count.
   RunResult price(const mr::JobTrace& trace, Hertz freq, int slots = 0) const;
 
+  /// extract_job_cost on this model's server, DFS and cluster.
+  JobCost extract(const mr::JobTrace& trace, int slots) const;
+
+  /// The terms of phase `pc`, its network term at `net_bytes_per_s`.
+  PhaseTerms phase_terms(const PhaseCost& pc, Hertz freq, int slots, double net_bytes_per_s,
+                         SumOrder order) const;
+
+  /// The closed-form phase on the paper's 1GbE NIC: its floor, plus
+  /// the retry backoff amortized over the active slots.
+  PhaseResult price_phase(const PhaseCost& pc, Hertz freq, int slots) const;
+
+  /// Dynamic power of a phase whose work keeps the node busy for
+  /// `busy_s` seconds (the paper's idle-subtracted Watts-up reading).
+  Watts dynamic_power(const PhaseTerms& t, Hertz freq, Seconds busy_s) const;
+
+  /// The overlap penalty of three concurrent demands: the part of the
+  /// two shorter ones that cannot hide under the longest.
+  Seconds overlap_s(Seconds cpu, Seconds io, Seconds net) const;
+
   const arch::ServerConfig& server() const { return server_; }
   const ClusterConfig& cluster() const { return cluster_; }
-
-  /// Steady-state IPC of a signature on this server at `freq` for a
-  /// given working set (used by the Fig. 1 suite comparison).
-  double signature_ipc(const arch::Signature& sig, double ws_bytes, Hertz freq) const;
+  const arch::StorageModel& storage() const { return storage_; }
 
  private:
-  struct PhaseWork;
-  PhaseResult price_phase(const PhaseWork& w, Hertz freq, int slots) const;
-  PhaseWork phase_work(const struct PhaseCost& pc) const;
-
   arch::ServerConfig server_;
   hdfs::DfsConfig dfs_;
   ClusterConfig cluster_;
   arch::CoreModel core_model_;
   arch::StorageModel storage_;
   power::PowerModel power_;
+  double line_rate_;  ///< the 1GbE NIC's bytes/s on this server
 };
 
 }  // namespace bvl::perf

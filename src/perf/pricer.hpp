@@ -1,8 +1,9 @@
-// The pricer split: one extraction (perf/task_cost), two pricers.
+// The pricer split: one extraction (perf/task_cost), one closed form
+// (perf/perf_model), two ways to charge it.
 //
-//   AnalyticPricer — the paper-calibrated closed form (PerfModel::
-//   price), retained bit-identical: every golden, EXPERIMENTS table,
-//   and scheduler decision made against it stays valid.
+//   PerfModel — the paper-calibrated closed form, retained
+//   bit-identical: every golden, EXPERIMENTS table, and scheduler
+//   decision made against it stays valid.
 //
 //   EventPricer — replays the same per-task records on the sim kernel
 //   (sim/event_queue, sim/resource): tasks queue on a slot pool, their
@@ -11,18 +12,15 @@
 //   strictly in series, as the closed form's additive phase times do;
 //   reduce slowstart overlap and a modeled shuffle fabric are options
 //   of the rack replay (core::MixOptions), not of this single node.
-//   Both pricers share the calibrated serialization economics: the
-//   replayed phase time is floored at the closed form's
-//   `longest + overlap_penalty * rest`, so the event path can only add
-//   time the analytic model cannot see (queueing, wave quantization,
-//   straggler tails) — which keeps the two within a few percent on
-//   fault-free single-job traces while letting them diverge exactly
-//   where a timeline has more information.
+//   Each task's demands are a share of the closed form's PhaseTerms,
+//   and the replayed phase time is floored at the terms' floor, so the
+//   event path can only add time the analytic model cannot see
+//   (queueing, wave quantization, straggler tails) — which keeps the
+//   two within a few percent on fault-free single-job traces while
+//   letting them diverge exactly where a timeline has more information.
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "perf/perf_model.hpp"
@@ -33,40 +31,8 @@
 
 namespace bvl::perf {
 
-enum class PricerKind {
-  kAnalytic,  ///< closed-form phase model (the paper's methodology)
-  kEvent,     ///< discrete-event per-task replay
-};
-
-std::string to_string(PricerKind kind);
-
-/// A pricer turns a machine-independent JobTrace into per-phase
-/// time/power/energy on one concrete server at one operating point.
-class Pricer {
- public:
-  virtual ~Pricer() = default;
-  virtual PricerKind kind() const = 0;
-  /// `slots` = concurrent task slots per node (0 = server core count).
-  virtual RunResult price(const mr::JobTrace& trace, Hertz freq, int slots = 0) const = 0;
-  virtual const arch::ServerConfig& server() const = 0;
-};
-
-class AnalyticPricer final : public Pricer {
- public:
-  explicit AnalyticPricer(arch::ServerConfig server, hdfs::DfsConfig dfs = {},
-                          ClusterConfig cluster = {})
-      : model_(std::move(server), dfs, cluster) {}
-
-  PricerKind kind() const override { return PricerKind::kAnalytic; }
-  RunResult price(const mr::JobTrace& trace, Hertz freq, int slots = 0) const override {
-    return model_.price(trace, freq, slots);
-  }
-  const arch::ServerConfig& server() const override { return model_.server(); }
-  const PerfModel& model() const { return model_; }
-
- private:
-  PerfModel model_;
-};
+/// The closed form, named as a pricer beside EventPricer.
+using AnalyticPricer = PerfModel;
 
 /// One task's service demands on the replay timeline, plus its share
 /// of the phase's dynamic energy (for cluster-level accounting).
@@ -78,8 +44,6 @@ struct SimTask {
   Seconds backoff_s = 0;  ///< retry backoff held on the slot
   double net_bytes = 0;   ///< shuffle volume behind nic_svc_s (fabric routing)
   Joules energy = 0;      ///< share of phase dynamic energy
-
-  Seconds residency() const { return cpu_s + serial_s + backoff_s; }
 };
 
 /// A job rendered for timeline replay on one server type: per-task
@@ -92,7 +56,7 @@ struct JobSim {
   RunResult priced;  ///< the single-node event-priced result
 };
 
-class EventPricer final : public Pricer {
+class EventPricer {
  public:
   /// `nic` sets the line rate every task's shuffle volume is charged
   /// at (one NIC ServiceQueue per node), as in the rack replay.
@@ -100,9 +64,9 @@ class EventPricer final : public Pricer {
                        ClusterConfig cluster = {},
                        sim::NicPresetId nic = sim::NicPresetId::k1GbE);
 
-  PricerKind kind() const override { return PricerKind::kEvent; }
-  RunResult price(const mr::JobTrace& trace, Hertz freq, int slots = 0) const override;
-  const arch::ServerConfig& server() const override { return server_; }
+  /// `slots` = concurrent task slots per node (0 = server core count).
+  RunResult price(const mr::JobTrace& trace, Hertz freq, int slots = 0) const;
+  const arch::ServerConfig& server() const { return model_.server(); }
 
   /// Renders `trace` into per-task timeline demands (and prices it on
   /// a single node along the way). core/cluster_sim feeds these tasks
@@ -110,22 +74,11 @@ class EventPricer final : public Pricer {
   JobSim job_sim(const mr::JobTrace& trace, Hertz freq, int slots = 0) const;
 
  private:
-  struct DerivedPhase;
-  DerivedPhase derive_phase(const PhaseCost& pc, Hertz freq, int slots) const;
+  std::vector<SimTask> task_demands(const PhaseCost& pc, const PhaseTerms& t) const;
 
-  arch::ServerConfig server_;
-  hdfs::DfsConfig dfs_;
-  ClusterConfig cluster_;
-  sim::NicPresetId nic_;
-  arch::CoreModel core_model_;
-  arch::StorageModel storage_;
-  power::PowerModel power_;
-  PerfModel analytic_;  ///< prices the task-less "other" phase
+  PerfModel model_;
+  double nic_rate_;  ///< the NIC preset's bytes/s on this server
 };
-
-std::unique_ptr<Pricer> make_pricer(PricerKind kind, const arch::ServerConfig& server,
-                                    const hdfs::DfsConfig& dfs = {},
-                                    const ClusterConfig& cluster = {});
 
 /// How a task's compute demand runs on the slot. The channel receives
 /// the task and a completion callback it must eventually invoke

@@ -1,9 +1,9 @@
 // Per-task cost extraction: the machine-dependent work of each task in
 // a JobTrace (instructions, shared-disk bytes, shuffle bytes), computed
-// once and consumed by both pricers. AnalyticPricer aggregates these
-// records back into phase totals with the exact expressions and
-// accumulation order of the pre-split closed form — bit-identical
-// output — while EventPricer turns the same records into per-task
+// once per priced job. PerfModel aggregates these records back into
+// the closed form's phase terms with the exact expressions and
+// accumulation order of the pre-split model — bit-identical output —
+// and EventPricer splits the same records and terms into per-task
 // service demands and replays them on the sim kernel.
 #pragma once
 

@@ -28,22 +28,10 @@ struct FreqSegment {
 
 class FreqPlan {
  public:
-  /// The static-knob plan: one segment at `freq` from t=0.
+  /// The static-knob plan: one segment at `freq` from t=0. Requires
+  /// a positive, finite frequency.
   static FreqPlan constant(Hertz freq);
 
-  /// Builds a plan from explicit segments. Requires: non-empty, first
-  /// start == 0, starts strictly ascending, all frequencies positive.
-  /// Adjacent segments at the same frequency are coalesced, so a
-  /// "two-segment" plan that never actually changes frequency is a
-  /// single-segment plan.
-  explicit FreqPlan(std::vector<FreqSegment> segments);
-
-  /// True when the plan never changes frequency — the paper's static
-  /// model.
-  bool single_segment() const { return segments_.size() == 1; }
-
-  Hertz min_freq() const;
-  Hertz max_freq() const;
   const std::vector<FreqSegment>& segments() const { return segments_; }
 
   /// Appends a segment at `start` (>= last start; same-time append
@@ -53,6 +41,8 @@ class FreqPlan {
   void append(Seconds start, Hertz freq);
 
  private:
+  FreqPlan() = default;
+
   std::vector<FreqSegment> segments_;
 };
 

@@ -55,8 +55,4 @@ Watts PowerModel::dynamic_power(const SystemLoad& load, Hertz freq) const {
   return cores + uncore + dram + disk;
 }
 
-Watts PowerModel::total_power(const SystemLoad& load, Hertz freq) const {
-  return params_.system_idle_w + dynamic_power(load, freq);
-}
-
 }  // namespace bvl::power

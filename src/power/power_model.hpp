@@ -31,11 +31,6 @@ class PowerModel {
   /// Dynamic (above-idle) system power at the given operating point.
   Watts dynamic_power(const SystemLoad& load, Hertz freq) const;
 
-  /// Total wall power (dynamic + idle).
-  Watts total_power(const SystemLoad& load, Hertz freq) const;
-
-  Watts idle_power() const { return params_.system_idle_w; }
-
   /// Per-core dynamic power at full activity (for reporting).
   /// Frequencies outside the DVFS table range are clamped to the
   /// nearest operating point — the model has no data beyond the

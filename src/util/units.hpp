@@ -26,11 +26,6 @@ constexpr Hertz kHz = 1e3;
 constexpr Hertz MHz = 1e6;
 constexpr Hertz GHz = 1e9;
 
-/// Convenience literal-style constructors.
-constexpr Bytes mega_bytes(double n) { return static_cast<Bytes>(n * static_cast<double>(MB)); }
-constexpr Bytes giga_bytes(double n) { return static_cast<Bytes>(n * static_cast<double>(GB)); }
-constexpr Hertz giga_hertz(double n) { return n * GHz; }
-
 /// Bytes -> floating megabytes/gigabytes (for reporting).
 constexpr double to_mb(Bytes b) { return static_cast<double>(b) / static_cast<double>(MB); }
 constexpr double to_gb(Bytes b) { return static_cast<double>(b) / static_cast<double>(GB); }

@@ -134,12 +134,19 @@ TEST(Characterizer, SameNameServersArePricedAsThemselves) {
   spec.workload = wl::WorkloadId::kWordCount;
   spec.input_size = 64 * MB;
   Characterizer warm, fresh;
-  for (auto kind : {perf::PricerKind::kAnalytic, perf::PricerKind::kEvent}) {
-    const double stock = warm.run(spec, arch::xeon_e5_2420(), kind).total_time();
-    const double got = warm.run(spec, narrow, kind).total_time();
-    EXPECT_EQ(got, fresh.run(spec, narrow, kind).total_time());
-    EXPECT_GT(got, stock);
-  }
+  const double stock = warm.run(spec, arch::xeon_e5_2420()).total_time();
+  const double got = warm.run(spec, narrow).total_time();
+  EXPECT_EQ(got, fresh.run(spec, narrow).total_time());
+  EXPECT_GT(got, stock);
+  auto event_time = [&](Characterizer& ch, const arch::ServerConfig& server) {
+    return ch.event_pricer(server, sim::NicPresetId::k1GbE)
+        .price(ch.trace(spec), spec.freq, spec.mappers)
+        .total_time();
+  };
+  const double event_stock = event_time(warm, arch::xeon_e5_2420());
+  const double event_got = event_time(warm, narrow);
+  EXPECT_EQ(event_got, event_time(fresh, narrow));
+  EXPECT_GT(event_got, event_stock);
   warm.event_pricer(arch::xeon_e5_2420(), sim::NicPresetId::k10GbE);
   EXPECT_EQ(warm.event_pricer(narrow, sim::NicPresetId::k10GbE).server(), narrow);
 }

@@ -91,7 +91,7 @@ TEST(PowerCap, MeteringAloneMatchesTheHistoricalTimeline) {
   std::size_t nodes = 0;
   for (const auto& spec_n : rack) nodes += static_cast<std::size_t>(spec_n.count);
   ASSERT_EQ(metered.power.node_plans.size(), nodes);
-  for (const auto& plan : metered.power.node_plans) EXPECT_TRUE(plan.single_segment());
+  for (const auto& plan : metered.power.node_plans) EXPECT_EQ(plan.segments().size(), 1u);
 }
 
 TEST(PowerCap, DrawNeverExceedsABindingCap) {
@@ -155,14 +155,18 @@ TEST(PowerCap, PinnedGovernorsRealizeTheirLevels) {
   MixResult low = run_power(rack, save);
   ASSERT_TRUE(low.power.active);
   for (const auto& plan : low.power.node_plans) {
-    EXPECT_EQ(plan.max_freq(), table.min_freq());  // pinned to the bottom level
+    for (const auto& seg : plan.segments()) {
+      EXPECT_EQ(seg.freq, table.min_freq());  // pinned to the bottom level
+    }
   }
 
   power::PowerPlanSpec perf;
   perf.governor = power::GovernorKind::kPerformance;
   MixResult high = run_power(rack, perf);
   for (const auto& plan : high.power.node_plans) {
-    EXPECT_EQ(plan.min_freq(), table.max_freq());  // pinned to the top level
+    for (const auto& seg : plan.segments()) {
+      EXPECT_EQ(seg.freq, table.max_freq());  // pinned to the top level
+    }
   }
 
   // Slower clocks stretch the makespan; the meter sees the same story.

@@ -78,8 +78,10 @@ TEST_P(EventReplaySweep, ReplayNeverUndercutsTheClosedForm) {
   for (bool faulty : {false, true}) {
     const core::RunSpec s = spec(faulty);
     const char* label = faulty ? "faulty" : "clean";
-    RunResult a = shared_ch().run(s, server(), PricerKind::kAnalytic);
-    RunResult e = shared_ch().run(s, server(), PricerKind::kEvent);
+    RunResult a = shared_ch().run(s, server());
+    RunResult e = shared_ch()
+                      .event_pricer(server(), sim::NicPresetId::k1GbE)
+                      .price(trace(faulty), s.freq, s.mappers);
     ASSERT_GT(a.total_time(), 0) << label;
     EXPECT_GE(e.map.time, a.map.time * (1 - 1e-12)) << label;
     EXPECT_GE(e.reduce.time, a.reduce.time * (1 - 1e-12)) << label;

@@ -114,14 +114,6 @@ TEST(PerfModel, CompressionReducesDeviceAndNetworkLoad) {
   EXPECT_LT(rc.reduce.net_time, ru.reduce.net_time);
 }
 
-TEST(PerfModel, SignatureIpcMatchesCoreModel) {
-  arch::ServerConfig cfg = arch::xeon_e5_2420();
-  PerfModel model(cfg);
-  arch::CoreModel core = cfg.make_core_model();
-  const arch::Signature& sig = framework_signature();
-  EXPECT_DOUBLE_EQ(model.signature_ipc(sig, 2e6, 1.8 * GHz), core.ipc(sig, 2e6, 1.8 * GHz, 1));
-}
-
 TEST(PerfModel, RejectsBadInput) {
   PerfModel model(arch::xeon_e5_2420());
   mr::JobTrace t = trace_for(wl::WorkloadId::kWordCount);

@@ -22,6 +22,12 @@ core::Characterizer& shared_ch() {
   return ch;
 }
 
+RunResult event_run(const core::RunSpec& spec, const arch::ServerConfig& server) {
+  return shared_ch()
+      .event_pricer(server, sim::NicPresetId::k1GbE)
+      .price(shared_ch().trace(spec), spec.freq, spec.mappers);
+}
+
 core::RunSpec spec_for(wl::WorkloadId id, int slots, bool faulty) {
   core::RunSpec s;
   s.workload = id;
@@ -45,8 +51,8 @@ TEST(PricerAgreement, SixWorkloadsWidthsAndFaults) {
       for (int width : {1, 2, 4}) {
         core::RunSpec spec = spec_for(id, width, faulty);
         for (const auto& server : arch::paper_servers()) {
-          RunResult a = shared_ch().run(spec, server, PricerKind::kAnalytic);
-          RunResult e = shared_ch().run(spec, server, PricerKind::kEvent);
+          RunResult a = shared_ch().run(spec, server);
+          RunResult e = event_run(spec, server);
           std::string label = wl::short_name(id) + "/" + server.name + "/w" +
                               std::to_string(width) + (faulty ? "/faulty" : "/clean");
           ASSERT_GT(a.total_time(), 0) << label;
@@ -60,7 +66,7 @@ TEST(PricerAgreement, SixWorkloadsWidthsAndFaults) {
 
 TEST(PricerAgreement, EventResultIsStructurallySound) {
   core::RunSpec spec = spec_for(wl::WorkloadId::kWordCount, 4, false);
-  RunResult r = shared_ch().run(spec, arch::xeon_e5_2420(), PricerKind::kEvent);
+  RunResult r = event_run(spec, arch::xeon_e5_2420());
   EXPECT_GT(r.map.time, 0);
   EXPECT_GT(r.map.energy, 0);
   EXPECT_GT(r.map.dynamic_power, 0);
@@ -83,14 +89,6 @@ TEST(PricerAgreement, JobSimTaskEnergiesSumToPhaseEnergy) {
   }
   EXPECT_NEAR(map_sum, js.priced.map.energy, 1e-6 * js.priced.map.energy + 1e-9);
   EXPECT_NEAR(js.other_s, js.priced.other.time, 1e-12);
-}
-
-TEST(PricerAgreement, FactoryBuildsEachKind) {
-  auto a = make_pricer(PricerKind::kAnalytic, arch::atom_c2758());
-  auto e = make_pricer(PricerKind::kEvent, arch::atom_c2758());
-  EXPECT_EQ(a->kind(), PricerKind::kAnalytic);
-  EXPECT_EQ(e->kind(), PricerKind::kEvent);
-  EXPECT_EQ(to_string(PricerKind::kEvent), "event");
 }
 
 }  // namespace

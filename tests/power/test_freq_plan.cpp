@@ -25,42 +25,28 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(FreqPlan, ConstantPlanIsSingleSegment) {
   FreqPlan p = FreqPlan::constant(1.8 * GHz);
-  EXPECT_TRUE(p.single_segment());
   ASSERT_EQ(p.segments().size(), 1u);
   EXPECT_EQ(p.segments().front().start, 0.0);
   EXPECT_EQ(p.segments().front().freq, 1.8 * GHz);
-  EXPECT_EQ(p.min_freq(), 1.8 * GHz);
-  EXPECT_EQ(p.max_freq(), 1.8 * GHz);
 }
 
-TEST(FreqPlan, SegmentsKeepTheirOrderAndBounds) {
-  FreqPlan p({{0, 1.8 * GHz}, {10, 1.2 * GHz}, {25, 1.6 * GHz}});
-  EXPECT_FALSE(p.single_segment());
+TEST(FreqPlan, SegmentsKeepTheirOrder) {
+  FreqPlan p = FreqPlan::constant(1.8 * GHz);
+  p.append(10, 1.2 * GHz);
+  p.append(25, 1.6 * GHz);
   ASSERT_EQ(p.segments().size(), 3u);
   EXPECT_EQ(p.segments()[1].start, 10.0);
   EXPECT_EQ(p.segments()[1].freq, 1.2 * GHz);
   EXPECT_EQ(p.segments()[2].start, 25.0);
   EXPECT_EQ(p.segments()[2].freq, 1.6 * GHz);
-  EXPECT_EQ(p.min_freq(), 1.2 * GHz);
-  EXPECT_EQ(p.max_freq(), 1.8 * GHz);
 }
 
-TEST(FreqPlan, EqualFrequencyAdjacentsCoalesce) {
-  // A "two-segment" plan that never changes frequency IS the static
-  // plan and must take the single-segment fast path everywhere.
-  FreqPlan p({{0, 1.4 * GHz}, {7, 1.4 * GHz}});
-  EXPECT_TRUE(p.single_segment());
-  const FreqPlan want = FreqPlan::constant(1.4 * GHz);
-  ASSERT_EQ(p.segments().size(), want.segments().size());
-  EXPECT_EQ(p.segments().front().start, want.segments().front().start);
-  EXPECT_EQ(p.segments().front().freq, want.segments().front().freq);
-}
-
-TEST(FreqPlan, RejectsMalformedSegmentLists) {
-  EXPECT_THROW(FreqPlan({}), Error);                                 // empty
-  EXPECT_THROW(FreqPlan({{1, 1.2 * GHz}}), Error);                   // first start != 0
-  EXPECT_THROW(FreqPlan({{0, 1.2 * GHz}, {0, 1.4 * GHz}}), Error);   // not ascending
-  EXPECT_THROW(FreqPlan({{0, 1.4 * GHz}, {5, 0}}), Error);           // non-positive freq
+TEST(FreqPlan, RejectsNonPositiveOrNonFiniteFrequencies) {
+  for (Hertz bad : {0.0, -1.2 * GHz, kInf, std::nan("")}) {
+    EXPECT_THROW(FreqPlan::constant(bad), Error) << bad;
+    FreqPlan p = FreqPlan::constant(1.4 * GHz);
+    EXPECT_THROW(p.append(5, bad), Error) << bad;
+  }
 }
 
 TEST(FreqPlan, AppendGrowsReplacesAndCoalesces) {
@@ -171,8 +157,8 @@ TEST(PowerModelDraw, NodeDrawIsIdleFloorAtZeroCoresAndMonotone) {
     PowerModel p(server);
     Hertz top = server.dvfs.max_freq(), bottom = server.dvfs.min_freq();
     // No active cores: exactly the idle floor, at any frequency.
-    EXPECT_EQ(p.node_draw(0, top), p.idle_power()) << server.name;
-    EXPECT_EQ(p.node_draw(0, bottom), p.idle_power()) << server.name;
+    EXPECT_EQ(p.node_draw(0, top), server.power.system_idle_w) << server.name;
+    EXPECT_EQ(p.node_draw(0, bottom), server.power.system_idle_w) << server.name;
     // More cores and higher frequency can only draw more.
     EXPECT_GT(p.node_draw(1, top), p.node_draw(0, top)) << server.name;
     EXPECT_GT(p.node_draw(server.cores, top), p.node_draw(1, top)) << server.name;

@@ -50,10 +50,13 @@ TEST(PowerModel, HigherIpcMeansMoreActivity) {
 }
 
 TEST(PowerModel, TotalIsIdlePlusDynamic) {
-  PowerModel p(atom());
-  SystemLoad load{.active_cores = 1, .avg_ipc = 0.5, .mem_gbps = 0.5, .disk_duty = 0.1};
-  EXPECT_NEAR(p.total_power(load, 1.6 * GHz),
-              p.idle_power() + p.dynamic_power(load, 1.6 * GHz), 1e-9);
+  // A node's whole draw is the server's idle floor plus the dynamic
+  // power of its busy cores at full activity.
+  const arch::ServerConfig server = atom();
+  PowerModel p(server);
+  SystemLoad load{.active_cores = 1, .avg_ipc = static_cast<double>(server.core.issue_width)};
+  EXPECT_NEAR(p.node_draw(1, 1.6 * GHz),
+              server.power.system_idle_w + p.dynamic_power(load, 1.6 * GHz), 1e-9);
 }
 
 TEST(PowerModel, RejectsBadLoad) {

@@ -30,7 +30,7 @@ report::FigureRegistry& registry() {
 
 report::Context& shared_context() {
   static core::Characterizer ch;
-  static report::Context ctx{ch};
+  static report::Context ctx{ch, std::nullopt};
   return ctx;
 }
 

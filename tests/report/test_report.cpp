@@ -125,11 +125,7 @@ TEST(Checks, FailedCountAndRendering) {
 
 TEST(Registry, GroupSharingAndLookup) {
   FigureRegistry reg;
-  auto build = [](Context&) {
-    Report rep;
-    rep.title = "t";
-    return rep;
-  };
+  auto build = [](Context&) { return Report{}; };
   reg.add({"fig05", "fig0506", "five", "ref", "shape", build});
   reg.add({"fig06", "fig0506", "six", "ref", "shape", build});
   reg.add({"fig09", "", "nine", "ref", "shape", build});
@@ -145,7 +141,7 @@ TEST(Registry, GroupSharingAndLookup) {
   EXPECT_EQ(groups[1], "fig09");
 
   core::Characterizer ch;
-  Context ctx{ch};
+  Context ctx{ch, std::nullopt};
   EXPECT_EQ(reg.build("fig06", ctx).id, "fig0506");
   EXPECT_EQ(reg.build("fig09", ctx).id, "fig09");
 }
