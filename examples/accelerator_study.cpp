@@ -4,9 +4,11 @@
 // the paper's Section 3.4 question, as an interactive tool.
 //
 //   $ ./accelerator_study [workload] [accel_factor]
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
+#include <optional>
+#include <string_view>
 
 #include "accel/fpga.hpp"
 #include "core/characterizer.hpp"
@@ -14,13 +16,41 @@
 
 using namespace bvl;
 
-int main(int argc, char** argv) {
-  std::string app = argc > 1 ? argv[1] : "WC";
-  double factor = argc > 2 ? std::atof(argv[2]) : 20.0;
+namespace {
 
-  wl::WorkloadId id = wl::WorkloadId::kWordCount;
-  for (auto w : wl::all_workloads())
-    if (wl::short_name(w) == app || wl::long_name(w) == app) id = w;
+/// The whole of `s` as a finite number >= 1 (an accelerator never slows
+/// the mapper down), or nullopt.
+std::optional<double> parse_factor(std::string_view s) {
+  double v = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size() || !std::isfinite(v) || v < 1.0)
+    return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const char* usage =
+      "usage: accelerator_study [WC|ST|GP|TS|NB|FP] [accel_factor]\n"
+      "  accel_factor: mapper speedup, a number >= 1 (default 20)\n";
+  if (argc > 3) {
+    std::fprintf(stderr, "accelerator_study: unexpected argument '%s'\n%s", argv[3], usage);
+    return 2;
+  }
+  const char* app = argc > 1 ? argv[1] : "WC";
+  std::optional<wl::WorkloadId> workload = wl::find_workload(app);
+  if (!workload) {
+    std::fprintf(stderr, "accelerator_study: unknown workload '%s'\n%s", app, usage);
+    return 2;
+  }
+  std::optional<double> parsed = argc > 2 ? parse_factor(argv[2]) : 20.0;
+  if (!parsed) {
+    std::fprintf(stderr, "accelerator_study: invalid accel_factor '%s'\n%s", argv[2], usage);
+    return 2;
+  }
+  const wl::WorkloadId id = *workload;
+  const double factor = *parsed;
 
   core::Characterizer ch;
   core::RunSpec spec;

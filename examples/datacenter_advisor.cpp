@@ -5,7 +5,9 @@
 //
 //   $ ./datacenter_advisor [edp|ed2p|edap|ed2ap]
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/scheduler.hpp"
 #include "util/table.hpp"
@@ -14,11 +16,12 @@ using namespace bvl;
 
 namespace {
 
-core::Goal goal_from(const std::string& name) {
+std::optional<core::Goal> goal_from(std::string_view name) {
+  if (name == "edp") return core::Goal::edp();
   if (name == "ed2p") return core::Goal::ed2p();
   if (name == "edap") return core::Goal::edap();
   if (name == "ed2ap") return core::Goal::ed2ap();
-  return core::Goal::edp();
+  return std::nullopt;
 }
 
 /// Finds the cheapest (block, freq) point for a workload on a server —
@@ -50,7 +53,17 @@ Tuning tune(core::Characterizer& ch, wl::WorkloadId id, const arch::ServerConfig
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::Goal goal = goal_from(argc > 1 ? argv[1] : "edp");
+  const char* usage = "usage: datacenter_advisor [edp|ed2p|edap|ed2ap]\n";
+  if (argc > 2) {
+    std::fprintf(stderr, "datacenter_advisor: unexpected argument '%s'\n%s", argv[2], usage);
+    return 2;
+  }
+  const char* name = argc > 1 ? argv[1] : "edp";
+  std::optional<core::Goal> goal = goal_from(name);
+  if (!goal) {
+    std::fprintf(stderr, "datacenter_advisor: unknown goal '%s'\n%s", name, usage);
+    return 2;
+  }
   core::Characterizer ch;
 
   std::printf("== Heterogeneous datacenter advisor ==\n");
@@ -58,7 +71,7 @@ int main(int argc, char** argv) {
 
   std::vector<core::JobRequest> jobs;
   for (auto id : wl::all_workloads()) jobs.push_back({id, 1 * GB});
-  auto decisions = core::plan_jobs(ch, jobs, core::CorePool{8, 8}, goal);
+  auto decisions = core::plan_jobs(ch, jobs, core::CorePool{8, 8}, *goal);
 
   TextTable t({"job", "class", "placement", "energy[J]", "delay[s]", "goal cost"});
   for (const auto& d : decisions) {

@@ -63,7 +63,12 @@ class LengthHistogramJob final : public mr::JobDefinition {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "mapreduce_wordcount: unexpected argument '%s'\nusage: mapreduce_wordcount\n",
+                 argv[1]);
+    return 2;
+  }
   LengthHistogramJob job;
   mr::JobConfig cfg;
   cfg.input_size = 16 * MB;

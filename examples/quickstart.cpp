@@ -3,7 +3,7 @@
 //
 //   $ ./quickstart [WC|ST|GP|TS|NB|FP]
 #include <cstdio>
-#include <string>
+#include <optional>
 
 #include "core/characterizer.hpp"
 #include "core/classifier.hpp"
@@ -13,23 +13,22 @@
 using namespace bvl;
 
 int main(int argc, char** argv) {
-  std::string app = argc > 1 ? argv[1] : "WC";
+  const char* usage = "usage: quickstart [WC|ST|GP|TS|NB|FP]\n";
+  if (argc > 2) {
+    std::fprintf(stderr, "quickstart: unexpected argument '%s'\n%s", argv[2], usage);
+    return 2;
+  }
+  const char* app = argc > 1 ? argv[1] : "WC";
+  std::optional<wl::WorkloadId> id = wl::find_workload(app);
+  if (!id) {
+    std::fprintf(stderr, "quickstart: unknown workload '%s'\n%s", app, usage);
+    return 2;
+  }
 
   // 1. Describe the experiment: workload, data size per node, HDFS
   //    block size, operating frequency, task slots.
   core::RunSpec spec;
-  spec.workload = wl::WorkloadId::kWordCount;
-  bool found = false;
-  for (auto id : wl::all_workloads()) {
-    if (wl::short_name(id) == app || wl::long_name(id) == app) {
-      spec.workload = id;
-      found = true;
-    }
-  }
-  if (!found) {
-    std::printf("unknown workload '%s'; usage: quickstart [WC|ST|GP|TS|NB|FP]\n", app.c_str());
-    return 1;
-  }
+  spec.workload = *id;
   spec.input_size = 1 * GB;
   spec.block_size = 256 * MB;
   spec.freq = 1.8 * GHz;

@@ -71,18 +71,4 @@ double CacheHierarchy::llc_miss_ratio(double ws_bytes, double theta, int active_
   return m;
 }
 
-double CacheHierarchy::llc_mpki(double ws_bytes, double theta, double mem_refs_per_inst,
-                                int active_cores) const {
-  return llc_miss_ratio(ws_bytes, theta, active_cores) * mem_refs_per_inst * 1000.0;
-}
-
-Bytes CacheHierarchy::total_capacity(int total_cores) const {
-  Bytes total = 0;
-  for (const auto& l : levels_) {
-    int instances = (total_cores + l.sharer_group - 1) / l.sharer_group;
-    total += l.capacity * static_cast<Bytes>(std::max(1, instances));
-  }
-  return total;
-}
-
 }  // namespace bvl::arch

@@ -68,15 +68,6 @@ class CacheHierarchy {
   /// that reach DRAM).
   double llc_miss_ratio(double ws_bytes, double theta, int active_cores = 1) const;
 
-  /// Misses per kilo-instruction at the last level, given memory
-  /// reference density.
-  double llc_mpki(double ws_bytes, double theta, double mem_refs_per_inst,
-                  int active_cores = 1) const;
-
-  /// Total on-chip cache capacity summed over instances for
-  /// `total_cores` cores (for reporting / area sanity checks).
-  Bytes total_capacity(int total_cores) const;
-
  private:
   /// Effective capacity of level i as seen by one core when
   /// `active_cores` compete.

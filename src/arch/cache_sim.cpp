@@ -1,7 +1,5 @@
 #include "arch/cache_sim.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace bvl::arch {
@@ -113,18 +111,6 @@ std::size_t CacheSim::access_batch(const std::uint64_t* addrs, std::size_t n,
   accesses_ += n;
   misses_ += misses;
   return misses;
-}
-
-double CacheSim::miss_ratio() const {
-  if (accesses_ == 0) return 0.0;
-  return static_cast<double>(misses_) / static_cast<double>(accesses_);
-}
-
-void CacheSim::reset() {
-  clock_ = accesses_ = misses_ = 0;
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(last_use_.begin(), last_use_.end(), 0);
-  std::fill(valid_.begin(), valid_.end(), 0);
 }
 
 HierarchySim::HierarchySim(const std::vector<CacheLevelConfig>& levels) {

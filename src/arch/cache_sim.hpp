@@ -47,9 +47,6 @@ class CacheSim {
 
   std::uint64_t accesses() const { return accesses_; }
   std::uint64_t misses() const { return misses_; }
-  double miss_ratio() const;
-
-  void reset();
 
   int associativity() const { return assoc_; }
 

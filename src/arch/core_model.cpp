@@ -105,11 +105,4 @@ double CoreModel::ipc(const Signature& sig, double ws_bytes, Hertz freq, int act
   return cpi(sig, ws_bytes, freq, active_cores).ipc();
 }
 
-Seconds CoreModel::exec_time(double instructions, const Signature& sig, double ws_bytes,
-                             Hertz freq, int active_cores) const {
-  require(instructions >= 0.0, "CoreModel::exec_time: negative instruction count");
-  CpiBreakdown b = cpi(sig, ws_bytes, freq, active_cores);
-  return instructions * b.total() / freq;
-}
-
 }  // namespace bvl::arch

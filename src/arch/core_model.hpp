@@ -81,10 +81,6 @@ class CoreModel {
   /// Instructions per cycle (1 / total CPI).
   double ipc(const Signature& sig, double ws_bytes, Hertz freq, int active_cores = 1) const;
 
-  /// Seconds to execute `instructions` dynamic instructions.
-  Seconds exec_time(double instructions, const Signature& sig, double ws_bytes, Hertz freq,
-                    int active_cores = 1) const;
-
  private:
   CoreConfig core_;
   CacheHierarchy caches_;

@@ -54,14 +54,6 @@ int DvfsTable::level_of(Hertz freq) const {
   return best;
 }
 
-Hertz DvfsTable::step_down(Hertz freq) const {
-  return level_freq(std::max(0, level_of(freq) - 1));
-}
-
-Hertz DvfsTable::step_up(Hertz freq) const {
-  return level_freq(std::min(levels() - 1, level_of(freq) + 1));
-}
-
 std::vector<Hertz> paper_frequency_sweep() {
   return {1.2 * GHz, 1.4 * GHz, 1.6 * GHz, 1.8 * GHz};
 }

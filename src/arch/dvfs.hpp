@@ -50,11 +50,6 @@ class DvfsTable {
   /// Index of the table point nearest to `freq` (ties round up).
   int level_of(Hertz freq) const;
 
-  /// One level below/above `freq`'s nearest point, clamped at the
-  /// table ends — the stepping primitive of the cap enforcement loop.
-  Hertz step_down(Hertz freq) const;
-  Hertz step_up(Hertz freq) const;
-
   bool operator==(const DvfsTable&) const = default;
 
  private:

@@ -9,7 +9,6 @@
 #include "mapreduce/merge.hpp"
 #include "mapreduce/reduce_task.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace bvl::mr {
@@ -103,9 +102,6 @@ JobTrace Engine::run(JobDefinition& def, const JobConfig& cfg,
                            cfg.sim_scale));
     def.prepare(sample_bytes, task_seed(cfg.seed, 0xABCDEF), trace.setup);
   }
-
-  log_info("engine: job=", trace.workload, " blocks=", blocks.size(), " reducers=", reducers,
-           " sim_scale=", cfg.sim_scale, " exec_threads=", exec_threads);
 
   // ---- Map phase ----
   const bool has_combiner = cfg.use_combiner && def.make_combiner() != nullptr;

@@ -2,19 +2,6 @@
 
 namespace bvl::mr {
 
-namespace {
-std::size_t ceil_div(std::size_t tasks, int threads) {
-  std::size_t w = threads < 1 ? 1 : static_cast<std::size_t>(threads);
-  return (tasks + w - 1) / w;
-}
-}  // namespace
-
-std::size_t JobTrace::map_exec_waves() const { return ceil_div(map_tasks.size(), exec_threads_used); }
-
-std::size_t JobTrace::reduce_exec_waves() const {
-  return ceil_div(reduce_tasks.size(), exec_threads_used);
-}
-
 WorkCounters JobTrace::map_total() const {
   WorkCounters total;
   for (const auto& t : map_tasks) total.add(t.counters);
@@ -46,13 +33,6 @@ double JobTrace::total_backoff_s() const {
   for (const auto& t : map_tasks) s += t.backoff_s;
   for (const auto& t : reduce_tasks) s += t.backoff_s;
   return s;
-}
-
-WorkCounters JobTrace::wasted_total() const {
-  WorkCounters total;
-  for (const auto& t : map_tasks) total.add(t.wasted);
-  for (const auto& t : reduce_tasks) total.add(t.wasted);
-  return total;
 }
 
 }  // namespace bvl::mr

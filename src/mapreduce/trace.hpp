@@ -51,10 +51,6 @@ struct JobTrace {
   std::size_t num_map_tasks() const { return map_tasks.size(); }
   std::size_t num_reduce_tasks() const { return reduce_tasks.size(); }
 
-  /// Executor waves a phase needed: ceil(tasks / exec_threads_used).
-  std::size_t map_exec_waves() const;
-  std::size_t reduce_exec_waves() const;
-
   WorkCounters map_total() const;
   WorkCounters reduce_total() const;
 
@@ -62,7 +58,6 @@ struct JobTrace {
   int total_attempts() const;         ///< Σ attempts over map + reduce tasks
   int speculative_backups() const;    ///< tasks that launched a backup
   double total_backoff_s() const;     ///< Σ retry backoff waits
-  WorkCounters wasted_total() const;  ///< Σ wasted work over all tasks
 };
 
 }  // namespace bvl::mr

@@ -19,16 +19,6 @@ double PowerModel::activity_factor(double ipc) const {
   return 0.55 + 0.45 * util;
 }
 
-Watts PowerModel::core_power(Hertz freq) const {
-  // Clamp into the DVFS table: voltage_at already saturates at the
-  // table ends, but the f term in C*V^2*f would keep growing linearly
-  // past max_freq (and shrinking below min_freq) where the model has
-  // no calibration points.
-  Hertz f = dvfs_.clamp(freq);
-  Volts v = dvfs_.voltage_at(f);
-  return params_.core_ceff_f * v * v * f + params_.core_leak_w_per_v * v;
-}
-
 Watts PowerModel::node_draw(int active_cores, Hertz freq) const {
   require(active_cores >= 0, "PowerModel::node_draw: negative active cores");
   SystemLoad load;

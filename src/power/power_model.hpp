@@ -31,19 +31,15 @@ class PowerModel {
   /// Dynamic (above-idle) system power at the given operating point.
   Watts dynamic_power(const SystemLoad& load, Hertz freq) const;
 
-  /// Per-core dynamic power at full activity (for reporting).
-  /// Frequencies outside the DVFS table range are clamped to the
-  /// nearest operating point — the model has no data beyond the
-  /// table, and extrapolating C*V^2*f linearly past it silently
-  /// overstates draw (regression-tested at both boundaries).
-  Watts core_power(Hertz freq) const;
-
   /// Modeled whole-node draw with `active_cores` busy at `freq` — the
   /// quantity the rack power-cap loop meters and throttles on: idle
   /// floor + fully-active cores + uncore + DRAM background. Excludes
   /// the traffic-dependent DRAM/disk terms, which the cap loop cannot
   /// know ahead of a task's execution; the cap is therefore on the
-  /// CPU-side envelope a RAPL domain actually controls.
+  /// CPU-side envelope a RAPL domain actually controls. Frequencies
+  /// outside the DVFS table range are clamped to the nearest operating
+  /// point: the model has no data beyond the table, and extrapolating
+  /// C*V^2*f linearly past it would overstate draw.
   Watts node_draw(int active_cores, Hertz freq) const;
 
  private:

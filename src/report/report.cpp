@@ -32,8 +32,6 @@ Cell sci(double v) { return Cell::num(v, fmt_sci(v)); }
 
 Cell num(double v) { return Cell::num(v, fmt_num(v)); }
 
-Cell num(double v, const std::string& suffix) { return Cell::num(v, fmt_num(v) + suffix); }
-
 Table::Table(std::string table_name, std::vector<std::string> cols)
     : name(std::move(table_name)), columns(std::move(cols)) {
   require(!columns.empty(), "report::Table: no columns");

@@ -37,7 +37,6 @@ Cell fixed(double v, int precision);
 Cell fixed(double v, int precision, const std::string& suffix);
 Cell sci(double v);
 Cell num(double v);
-Cell num(double v, const std::string& suffix);
 
 /// A named, typed table. `name` keys the JSON/CSV output; columns are
 /// the text-table headers.

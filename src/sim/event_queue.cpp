@@ -94,12 +94,6 @@ void EventQueue::compact() {
   }
 }
 
-Seconds EventQueue::next_time() const {
-  require(live_ > 0, "EventQueue: next_time on empty queue");
-  // drop_dead_top keeps the front live whenever live_ > 0.
-  return heap_.front().time;
-}
-
 void EventQueue::run_next(SimClock& clock) {
   require(live_ > 0, "EventQueue: run_next on empty queue");
   Entry e = std::move(heap_.front());

@@ -74,9 +74,6 @@ class EventQueue {
   /// Live (non-cancelled) pending events.
   std::size_t size() const { return live_; }
 
-  /// Time of the earliest pending live event. Only valid when !empty().
-  Seconds next_time() const;
-
   /// Pops the earliest live event, advances `clock` to its timestamp,
   /// and runs its callback (which may push further events).
   void run_next(SimClock& clock);

@@ -52,6 +52,4 @@ const NicPreset& nic_preset(NicPresetId id) {
   throw Error("nic_preset: unknown preset id");
 }
 
-std::string to_string(NicPresetId id) { return nic_preset(id).name; }
-
 }  // namespace bvl::sim

@@ -12,8 +12,6 @@
 // bottleneck off the endpoints and into the switching layers.
 #pragma once
 
-#include <string>
-
 namespace bvl::sim {
 
 enum class NicPresetId {
@@ -50,7 +48,5 @@ struct NicPreset {
 
 /// The calibrated preset table entry for `id`.
 const NicPreset& nic_preset(NicPresetId id);
-
-std::string to_string(NicPresetId id);
 
 }  // namespace bvl::sim

@@ -35,10 +35,6 @@ void FairShareQueue::enqueue(int tenant, std::uint64_t item) {
   ++queued_;
 }
 
-std::size_t FairShareQueue::size(int tenant) const {
-  return queues_.at(static_cast<std::size_t>(tenant)).size();
-}
-
 int FairShareQueue::next_tenant() const {
   std::vector<bool> skip;  // empty = consider everyone
   return next_tenant_excluding(skip);

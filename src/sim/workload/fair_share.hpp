@@ -40,7 +40,6 @@ class FairShareQueue {
 
   bool empty() const { return queued_ == 0; }
   std::size_t size() const { return queued_; }
-  std::size_t size(int tenant) const;
 
   /// The tenant whose head item should be served next (highest
   /// priority, then least virtual time, then lowest index), or -1

@@ -1,81 +1,18 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace bvl {
 
 void Accumulator::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   sum_ += x;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 double Accumulator::mean() const {
   require(n_ > 0, "Accumulator::mean on empty accumulator");
   return mean_;
-}
-
-double Accumulator::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-double Accumulator::min() const {
-  require(n_ > 0, "Accumulator::min on empty accumulator");
-  return min_;
-}
-
-double Accumulator::max() const {
-  require(n_ > 0, "Accumulator::max on empty accumulator");
-  return max_;
-}
-
-double geomean(const std::vector<double>& xs) {
-  require(!xs.empty(), "geomean of empty vector");
-  double acc = 0.0;
-  for (double x : xs) {
-    require(x > 0.0, "geomean requires positive values");
-    acc += std::log(x);
-  }
-  return std::exp(acc / static_cast<double>(xs.size()));
-}
-
-double percentile(std::vector<double> xs, double p) {
-  require(!xs.empty(), "percentile of empty vector");
-  require(p >= 0.0 && p <= 100.0, "percentile p out of range");
-  std::sort(xs.begin(), xs.end());
-  if (xs.size() == 1) return xs.front();
-  double idx = p / 100.0 * static_cast<double>(xs.size() - 1);
-  auto lo = static_cast<std::size_t>(idx);
-  std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  double frac = idx - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
-double relative_variation(const std::vector<double>& xs) {
-  require(!xs.empty(), "relative_variation of empty vector");
-  double lo = *std::min_element(xs.begin(), xs.end());
-  double hi = *std::max_element(xs.begin(), xs.end());
-  if (hi == 0.0) return 0.0;
-  return (hi - lo) / hi;
-}
-
-bool approx_equal(double a, double b, double tol) {
-  double scale = std::max({std::fabs(a), std::fabs(b), 1.0});
-  return std::fabs(a - b) <= tol * scale;
 }
 
 }  // namespace bvl

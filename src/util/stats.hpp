@@ -1,47 +1,23 @@
-// Streaming statistics and small numeric helpers used by the power
-// meter, the characterization sweeps, and the benches.
+// Streaming mean for the characterization sweeps.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace bvl {
 
-/// Welford streaming accumulator: mean/variance/min/max without
-/// storing samples.
+/// Welford streaming accumulator: running mean without storing samples.
 class Accumulator {
  public:
   void add(double x);
 
   std::size_t count() const { return n_; }
   double mean() const;
-  double variance() const;  ///< sample variance (n-1); 0 if n < 2
-  double stddev() const;
-  double min() const;  ///< requires count() > 0
-  double max() const;  ///< requires count() > 0
   double sum() const { return sum_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
   double sum_ = 0.0;
 };
-
-/// Geometric mean of positive values; throws on empty input or
-/// non-positive values.
-double geomean(const std::vector<double>& xs);
-
-/// Linear-interpolated percentile, p in [0,100]; throws on empty input.
-double percentile(std::vector<double> xs, double p);
-
-/// Relative spread (max-min)/max expressed as a fraction, matching how
-/// the paper reports "up to X% variation" across a tuning sweep.
-double relative_variation(const std::vector<double>& xs);
-
-/// True when |a-b| <= tol * max(|a|,|b|,1).
-bool approx_equal(double a, double b, double tol = 1e-9);
 
 }  // namespace bvl

@@ -1,42 +1,8 @@
 #include "util/string_util.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <limits>
 
 namespace bvl {
-
-std::vector<std::string_view> split(std::string_view s, char delim) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      break;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::vector<std::string_view> tokenize(std::string_view s) {
-  std::vector<std::string_view> out;
-  for_each_token(s, [&](std::string_view tok) { out.push_back(tok); });
-  return out;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
-}
-
-bool contains(std::string_view s, std::string_view needle) {
-  return s.find(needle) != std::string_view::npos;
-}
 
 std::optional<int> parse_non_negative_int(std::string_view s) {
   if (s.empty()) return std::nullopt;
@@ -57,15 +23,6 @@ FlagMatch match_flag(std::string_view arg, std::string_view flag, std::string_vi
     return FlagMatch::kInlineValue;
   }
   return FlagMatch::kNoMatch;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
 }
 
 }  // namespace bvl

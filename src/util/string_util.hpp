@@ -1,19 +1,12 @@
-// Small string helpers used by record readers and the Grep/WordCount
-// tokenizers. Kept allocation-light: tokenization walks string_views.
+// Small string helpers used by the Grep/WordCount tokenizers and the
+// bench flag parsers. Kept allocation-light: tokenization walks
+// string_views.
 #pragma once
 
 #include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace bvl {
-
-/// Splits on a single delimiter; empty fields preserved.
-std::vector<std::string_view> split(std::string_view s, char delim);
-
-/// Whitespace tokenizer (space/tab/newline); empty tokens skipped.
-std::vector<std::string_view> tokenize(std::string_view s);
 
 /// Calls `fn(token)` per whitespace-separated token without building a
 /// vector — the hot path for WordCount over large splits.
@@ -27,13 +20,6 @@ void for_each_token(std::string_view s, Fn&& fn) {
     if (i > start) fn(s.substr(start, i - start));
   }
 }
-
-std::string to_lower(std::string_view s);
-
-/// True when `s` contains `needle` (plain substring search).
-bool contains(std::string_view s, std::string_view needle);
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Strict base-10 parse of a non-negative int for flag values.
 /// Rejects empty strings, signs, whitespace, trailing junk and

@@ -33,46 +33,14 @@ void ThreadPool::stop_and_join() {
   for (auto& w : workers_) w.join();
 }
 
-ThreadPool::TaskId ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::submit(std::function<void()> task) {
   require(task != nullptr, "ThreadPool::submit: null task");
-  TaskId id;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    id = next_index_++;
-    queue_.emplace_back(id, std::move(task));
+    queue_.emplace_back(next_index_++, std::move(task));
     ++in_flight_;
   }
   work_cv_.notify_one();
-  return id;
-}
-
-bool ThreadPool::cancel(TaskId id) {
-  bool all_done = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = queue_.begin();
-    while (it != queue_.end() && it->first != id) ++it;
-    if (it == queue_.end()) return false;  // already started or finished
-    queue_.erase(it);
-    --in_flight_;
-    all_done = in_flight_ == 0;
-  }
-  if (all_done) done_cv_.notify_all();
-  return true;
-}
-
-std::size_t ThreadPool::cancel_pending() {
-  std::size_t cancelled;
-  bool all_done = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cancelled = queue_.size();
-    queue_.clear();
-    in_flight_ -= cancelled;
-    all_done = cancelled > 0 && in_flight_ == 0;
-  }
-  if (all_done) done_cv_.notify_all();
-  return cancelled;
 }
 
 void ThreadPool::wait() {

@@ -12,10 +12,6 @@
 //  * The pool is reusable: wait() leaves the workers parked for the
 //    next batch (the engine runs the map wave and the reduce wave on
 //    one pool).
-//  * Queued tasks can be cancelled before they start (cancel /
-//    cancel_pending) — the mechanism competing speculative attempts
-//    use to kill the losing attempt; a task that already started
-//    always runs to completion.
 #pragma once
 
 #include <condition_variable>
@@ -32,9 +28,6 @@ namespace bvl {
 
 class ThreadPool {
  public:
-  /// Identifies a submitted task (its submission index), for cancel().
-  using TaskId = std::size_t;
-
   /// Spawns `threads` workers (resolved via resolve(), so 0 means one
   /// per hardware thread). Throws bvl::Error when a worker cannot be
   /// started, after joining the ones that were. Callers size a pool to
@@ -51,20 +44,9 @@ class ThreadPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues one task and returns its id. Single producer: call from
-  /// the owning thread only, never from inside a task.
-  TaskId submit(std::function<void()> task);
-
-  /// Removes a task that has not started yet; returns true on success,
-  /// false when the task already started (or finished). A cancelled
-  /// task never runs — the engine uses this to kill the losing side of
-  /// a speculative attempt pair before it wastes a worker.
-  bool cancel(TaskId id);
-
-  /// Cancels every queued-but-not-started task; returns how many were
-  /// removed. Tasks already running are unaffected (wait() still
-  /// blocks on them).
-  std::size_t cancel_pending();
+  /// Enqueues one task. Single producer: call from the owning thread
+  /// only, never from inside a task.
+  void submit(std::function<void()> task);
 
   /// Blocks until every submitted task finished; then rethrows the
   /// captured exception of the earliest-submitted failing task, if

@@ -118,7 +118,6 @@ LabeledDocSource::LabeledDocSource(Bytes target_bytes, std::uint64_t seed, int n
   require(num_labels_ > 0, "LabeledDocSource: no labels");
 }
 
-std::string LabeledDocSource::label_name(int label) { return "class" + std::to_string(label); }
 
 void LabeledDocSource::make_line(Pcg32& rng, std::string& line) {
   int label = static_cast<int>(rng.uniform(0, static_cast<std::uint64_t>(num_labels_ - 1)));

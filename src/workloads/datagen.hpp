@@ -103,8 +103,6 @@ class LabeledDocSource final : public LineSource {
   LabeledDocSource(Bytes target_bytes, std::uint64_t seed, int num_labels = 5,
                    std::size_t vocab = 500, int words_per_doc = 14);
 
-  static std::string label_name(int label);
-
  protected:
   void make_line(Pcg32& rng, std::string& line) override;
 

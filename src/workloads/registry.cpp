@@ -47,6 +47,13 @@ std::vector<WorkloadId> real_world_apps() {
   return {WorkloadId::kNaiveBayes, WorkloadId::kFpGrowth};
 }
 
+std::optional<WorkloadId> find_workload(std::string_view name) {
+  for (WorkloadId id : all_workloads()) {
+    if (name == short_name(id) || name == long_name(id)) return id;
+  }
+  return std::nullopt;
+}
+
 std::unique_ptr<mr::JobDefinition> make_workload(WorkloadId id) {
   switch (id) {
     case WorkloadId::kWordCount: return std::make_unique<WordCountJob>();
@@ -57,13 +64,6 @@ std::unique_ptr<mr::JobDefinition> make_workload(WorkloadId id) {
     case WorkloadId::kFpGrowth: return std::make_unique<FpGrowthJob>();
   }
   throw Error("make_workload: unknown workload");
-}
-
-std::unique_ptr<mr::JobDefinition> make_workload(const std::string& name) {
-  for (WorkloadId id : all_workloads()) {
-    if (name == short_name(id) || name == long_name(id)) return make_workload(id);
-  }
-  throw Error("make_workload: unknown workload '" + name + "'");
 }
 
 }  // namespace bvl::wl

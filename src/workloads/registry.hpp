@@ -3,7 +3,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mapreduce/api.hpp"
@@ -21,8 +23,10 @@ std::vector<WorkloadId> all_workloads();
 std::vector<WorkloadId> micro_benchmarks();   ///< WC, ST, GP, TS
 std::vector<WorkloadId> real_world_apps();    ///< NB, FP
 
-/// Constructs a fresh job definition. Throws on unknown name.
+/// The workload whose short or long name is `name`; nullopt when none.
+std::optional<WorkloadId> find_workload(std::string_view name);
+
+/// Constructs a fresh job definition.
 std::unique_ptr<mr::JobDefinition> make_workload(WorkloadId id);
-std::unique_ptr<mr::JobDefinition> make_workload(const std::string& short_or_long_name);
 
 }  // namespace bvl::wl

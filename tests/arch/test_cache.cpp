@@ -77,19 +77,6 @@ TEST(CacheHierarchy, XeonL3AbsorbsWhatAtomL2Cannot) {
   EXPECT_LT(xeon.llc_miss_ratio(ws, 0.5, 4), 0.5 * atom.llc_miss_ratio(ws, 0.5, 4));
 }
 
-TEST(CacheHierarchy, MpkiProportionalToRefDensity) {
-  CacheHierarchy h = atom_c2758().make_hierarchy();
-  double m1 = h.llc_mpki(16e6, 0.7, 0.2);
-  double m2 = h.llc_mpki(16e6, 0.7, 0.4);
-  EXPECT_NEAR(m2, 2 * m1, 1e-9);
-}
-
-TEST(CacheHierarchy, TotalCapacityCountsInstances) {
-  CacheHierarchy h = atom_c2758().make_hierarchy();
-  // 8 cores: 8x24KB L1 + 4x1MB L2 (sharer group 2).
-  EXPECT_EQ(h.total_capacity(8), 8 * 24 * KB + 4 * MB);
-}
-
 TEST(CacheHierarchy, RejectsEmptyAndZeroLevels) {
   EXPECT_THROW(CacheHierarchy({}, MemoryConfig{}), Error);
   EXPECT_THROW(CacheHierarchy({CacheLevelConfig{.name = "L1", .capacity = 0}}, MemoryConfig{}),

@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/stats.hpp"
-
 #include "baselines/proxy.hpp"
 #include "baselines/suite.hpp"
 #include "core/characterizer.hpp"
@@ -217,16 +215,16 @@ TEST_F(PaperClaims, AtomMoreSensitiveToBlockSize) {
     xeon_ts.push_back(ch().run(s, arch::xeon_e5_2420()).total_time());
     atom_ts.push_back(ch().run(s, arch::atom_c2758()).total_time());
   }
-  // The paper reports a decisively larger relative spread on Atom
-  // (26.2% vs 18.9%); in our model the two land close together, so
-  // assert Atom's spread is at least comparable (>= 0.9x) — the
-  // absolute spread is strictly larger (next test). Documented in
+  // The paper reports a decisively larger relative spread (max-min)/max
+  // on Atom (26.2% vs 18.9%); in our model the two land close together,
+  // so assert Atom's spread is at least comparable (>= 0.9x) — the
+  // absolute spread is strictly larger (next assertion). Documented in
   // EXPERIMENTS.md.
-  EXPECT_GT(relative_variation(atom_ts), 0.9 * relative_variation(xeon_ts));
-  double atom_spread = *std::max_element(atom_ts.begin(), atom_ts.end()) -
-                       *std::min_element(atom_ts.begin(), atom_ts.end());
-  double xeon_spread = *std::max_element(xeon_ts.begin(), xeon_ts.end()) -
-                       *std::min_element(xeon_ts.begin(), xeon_ts.end());
+  auto [atom_lo, atom_hi] = std::minmax_element(atom_ts.begin(), atom_ts.end());
+  auto [xeon_lo, xeon_hi] = std::minmax_element(xeon_ts.begin(), xeon_ts.end());
+  double atom_spread = *atom_hi - *atom_lo;
+  double xeon_spread = *xeon_hi - *xeon_lo;
+  EXPECT_GT(atom_spread / *atom_hi, 0.9 * (xeon_spread / *xeon_hi));
   EXPECT_GT(atom_spread, xeon_spread);
 }
 

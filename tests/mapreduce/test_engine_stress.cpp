@@ -1,8 +1,8 @@
 // Concurrency stress/property test (slow tier): thread widths x sim
 // scales for WordCount and TeraSort. At every point the shuffle
-// conserves the emitted volume, the executor wave count obeys
-// ceil(tasks/threads), and the trace matches the serial baseline
-// bit-for-bit (canonical serialization, mapreduce/trace_io.hpp).
+// conserves the emitted volume, the trace records the requested width,
+// and the trace matches the serial baseline bit-for-bit (canonical
+// serialization, mapreduce/trace_io.hpp).
 #include <string>
 #include <vector>
 
@@ -44,15 +44,8 @@ TEST(EngineStress, StressWidthsAndScalesHoldInvariants) {
         double shuffled = t.reduce_total().shuffle_bytes;
         EXPECT_NEAR(shuffled, emitted, 1e-6 * emitted);
 
-        // Wave invariant: ceil(tasks / threads) executor waves.
         ASSERT_EQ(t.num_map_tasks(), 8u);
         EXPECT_EQ(t.exec_threads_used, threads);
-        EXPECT_EQ(t.map_exec_waves(),
-                  (t.num_map_tasks() + static_cast<std::size_t>(threads) - 1) /
-                      static_cast<std::size_t>(threads));
-        EXPECT_EQ(t.reduce_exec_waves(),
-                  (t.num_reduce_tasks() + static_cast<std::size_t>(threads) - 1) /
-                      static_cast<std::size_t>(threads));
 
         std::string text = to_text(t);
         if (threads == widths.front()) {

@@ -117,14 +117,6 @@ TEST(Dvfs, LevelsEnumerateThePaperSweep) {
   EXPECT_EQ(t.level_of(9.0 * GHz), 3);  // clamped above
 }
 
-TEST(Dvfs, StepDownAndUpClampAtTableEnds) {
-  const arch::DvfsTable& t = xeon().dvfs;
-  EXPECT_EQ(t.step_down(1.8 * GHz), 1.6 * GHz);
-  EXPECT_EQ(t.step_up(1.2 * GHz), 1.4 * GHz);
-  EXPECT_EQ(t.step_down(t.min_freq()), t.min_freq());
-  EXPECT_EQ(t.step_up(t.max_freq()), t.max_freq());
-}
-
 TEST(Dvfs, VoltageAtRejectsNonPositiveAndNonFinite) {
   const arch::DvfsTable& t = xeon().dvfs;
   EXPECT_THROW(t.voltage_at(0), Error);
@@ -136,19 +128,19 @@ TEST(Dvfs, VoltageAtRejectsNonPositiveAndNonFinite) {
   EXPECT_EQ(t.voltage_at(99 * GHz), t.voltage_at(t.max_freq()));
 }
 
-TEST(PowerModelClamp, CorePowerClampsAtBothTableBoundaries) {
+TEST(PowerModelClamp, NodeDrawClampsAtBothTableBoundaries) {
   for (const auto& server : {xeon(), atom()}) {
     PowerModel p(server);
     const arch::DvfsTable& t = server.dvfs;
     // Below min and above max pin to the boundary operating points —
     // no silent linear extrapolation of C*V^2*f past the table.
-    EXPECT_EQ(p.core_power(0.3 * GHz), p.core_power(t.min_freq())) << server.name;
-    EXPECT_EQ(p.core_power(25 * GHz), p.core_power(t.max_freq())) << server.name;
+    EXPECT_EQ(p.node_draw(1, 0.3 * GHz), p.node_draw(1, t.min_freq())) << server.name;
+    EXPECT_EQ(p.node_draw(1, 25 * GHz), p.node_draw(1, t.max_freq())) << server.name;
     // And the clamp is monotone across the boundary: an interior
     // point never prices above the max-frequency point.
-    EXPECT_LE(p.core_power(1.5 * GHz), p.core_power(t.max_freq())) << server.name;
-    EXPECT_THROW(p.core_power(0), Error);
-    EXPECT_THROW(p.core_power(-1 * GHz), Error);
+    EXPECT_LE(p.node_draw(1, 1.5 * GHz), p.node_draw(1, t.max_freq())) << server.name;
+    EXPECT_THROW(p.node_draw(1, 0), Error);
+    EXPECT_THROW(p.node_draw(1, -1 * GHz), Error);
   }
 }
 

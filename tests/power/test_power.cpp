@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "power/power_meter.hpp"
 #include "power/power_model.hpp"
 #include "util/error.hpp"
 
@@ -65,75 +64,6 @@ TEST(PowerModel, RejectsBadLoad) {
   EXPECT_THROW(p.dynamic_power({.active_cores = 1, .avg_ipc = 1, .mem_gbps = 0, .disk_duty = 2.0},
                                1.8 * GHz),
                Error);
-}
-
-TEST(PowerMeter, ExactEnergyIntegration) {
-  PowerMeter m;
-  m.record(10.0, 100.0);
-  m.record(5.0, 40.0);
-  EXPECT_DOUBLE_EQ(m.energy(), 1200.0);
-  EXPECT_DOUBLE_EQ(m.elapsed(), 15.0);
-}
-
-TEST(PowerMeter, OneHertzSampleCount) {
-  PowerMeter m(1.0);
-  m.record(12.5, 80.0);
-  auto ss = m.samples();
-  EXPECT_EQ(ss.size(), 12u);  // samples at t=1..12
-  EXPECT_DOUBLE_EQ(ss.front().power, 80.0);
-}
-
-TEST(PowerMeter, SamplesTrackSegments) {
-  PowerMeter m(1.0);
-  m.record(3.0, 100.0);
-  m.record(3.0, 50.0);
-  auto ss = m.samples();
-  ASSERT_EQ(ss.size(), 6u);
-  EXPECT_DOUBLE_EQ(ss[1].power, 100.0);
-  EXPECT_DOUBLE_EQ(ss[4].power, 50.0);
-}
-
-TEST(PowerMeter, PaperMethodologySubtractsIdle) {
-  // "collected the average power and subtracted the system idle power
-  // to estimate the dynamic power" (Sec. 1.1).
-  PowerMeter m(1.0);
-  m.record(10.0, 130.0);
-  EXPECT_DOUBLE_EQ(m.average_dynamic_power(95.0), 35.0);
-  EXPECT_DOUBLE_EQ(m.dynamic_energy(95.0), 350.0);
-  // Idle above reading clamps at zero rather than going negative.
-  EXPECT_DOUBLE_EQ(m.average_dynamic_power(200.0), 0.0);
-}
-
-TEST(PowerMeter, SampledEstimateConvergesToExactIntegral) {
-  PowerMeter m(1.0);
-  // Alternating load, long run: sampled mean approaches true mean.
-  for (int i = 0; i < 200; ++i) m.record(1.7, i % 2 ? 120.0 : 60.0);
-  double exact_avg = m.energy() / m.elapsed();
-  double sampled_avg = m.average_dynamic_power(0.0);
-  EXPECT_NEAR(sampled_avg, exact_avg, 3.0);
-}
-
-TEST(PowerMeter, ShortRunStillProducesOneSample) {
-  PowerMeter m(1.0);
-  m.record(0.4, 77.0);
-  auto ss = m.samples();
-  ASSERT_EQ(ss.size(), 1u);
-  EXPECT_DOUBLE_EQ(ss[0].power, 77.0);
-}
-
-TEST(PowerMeter, ResetClears) {
-  PowerMeter m;
-  m.record(5, 10);
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.energy(), 0.0);
-  EXPECT_TRUE(m.samples().empty());
-}
-
-TEST(PowerMeter, RejectsNegativeInput) {
-  PowerMeter m;
-  EXPECT_THROW(m.record(-1, 10), Error);
-  EXPECT_THROW(m.record(1, -10), Error);
-  EXPECT_THROW(PowerMeter(0.0), Error);
 }
 
 }  // namespace
