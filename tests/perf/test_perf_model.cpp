@@ -1,13 +1,17 @@
-// Perf-overlay tests: calibration table validity, pricing sanity, and
-// model monotonicity properties across the operating envelope.
+// Perf-overlay tests: calibration table validity, pricing sanity,
+// model monotonicity properties across the operating envelope, and the
+// closed form's phase-term mechanisms (overlap, waves, backoff).
 #include "perf/perf_model.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "mapreduce/engine.hpp"
 #include "perf/calibration.hpp"
+#include "perf/task_cost.hpp"
 #include "util/error.hpp"
 #include "workloads/registry.hpp"
 
@@ -199,6 +203,139 @@ INSTANTIATE_TEST_SUITE_P(Envelope, PriceSweep,
                          ::testing::Combine(::testing::Range(0, 6),
                                             ::testing::Values(1.2, 1.8),
                                             ::testing::Values(2, 8)));
+
+// ---------------------------------------------------------------------------
+// Phase terms: the closed form's mechanisms, one at a time, on
+// hand-built per-task costs.
+// ---------------------------------------------------------------------------
+
+/// `n` identical fault-free WordCount map tasks of `inst` instructions.
+PhaseCost uniform_phase(int n, double inst) {
+  PhaseCost pc;
+  pc.sig = &calibration_for("WordCount").map_sig;
+  for (int i = 0; i < n; ++i) {
+    TaskCost tc;
+    tc.inst = inst;
+    tc.device_bytes = 1e6;
+    pc.tasks.push_back(tc);
+  }
+  return pc;
+}
+
+TEST(PerfModel, OverlapPenalizesOnlyTheShorterDemands) {
+  ClusterConfig cluster;
+  PerfModel model(arch::xeon_e5_2420(), {}, cluster);
+  // The longest demand (10 s) hides the rest; the penalty is charged
+  // on the 4 + 1 s that could not hide under it.
+  EXPECT_DOUBLE_EQ(model.overlap_s(10, 4, 1), cluster.overlap_penalty * 5);
+  EXPECT_DOUBLE_EQ(model.overlap_s(1, 10, 4), model.overlap_s(10, 4, 1));
+  EXPECT_DOUBLE_EQ(model.overlap_s(4, 1, 10), model.overlap_s(10, 4, 1));
+  EXPECT_DOUBLE_EQ(model.overlap_s(7, 0, 0), 0.0);
+}
+
+TEST(PhaseTerms, ActiveSlotsAreBoundedBySlotsTasksAndCores) {
+  PerfModel atom(arch::atom_c2758());  // 8 cores
+  const double net = 117e6;
+  PhaseCost four = uniform_phase(4, 1e9);
+  EXPECT_EQ(atom.phase_terms(four, 1.8 * GHz, 2, net, SumOrder::kClosedForm).active, 2);
+  EXPECT_EQ(atom.phase_terms(four, 1.8 * GHz, 64, net, SumOrder::kClosedForm).active, 4);
+  PhaseCost many = uniform_phase(20, 1e9);
+  EXPECT_EQ(atom.phase_terms(many, 1.8 * GHz, 64, net, SumOrder::kClosedForm).active, 8);
+  // A task-less phase still occupies one slot.
+  PhaseCost setup;
+  setup.fixed_s = 2.0;
+  EXPECT_EQ(atom.phase_terms(setup, 1.8 * GHz, 8, net, SumOrder::kClosedForm).active, 1);
+}
+
+TEST(PhaseTerms, EachWaveLastsAsLongAsItsSlowestTask) {
+  PerfModel xeon(arch::xeon_e5_2420());
+  const double net = 117e6;
+  auto cpu_of = [&](const PhaseCost& pc) {
+    return xeon.phase_terms(pc, 1.8 * GHz, 2, net, SumOrder::kClosedForm).cpu;
+  };
+  // Four tasks on two slots: waves {0, 1} and {2, 3}.
+  PhaseCost pc = uniform_phase(4, 1e9);
+  const PhaseTerms base = xeon.phase_terms(pc, 1.8 * GHz, 2, net, SumOrder::kClosedForm);
+  ASSERT_GT(base.task_s, 0);
+
+  PhaseCost one_slow = pc;
+  one_slow.tasks[1].time_factor = 3.0;
+  EXPECT_NEAR(cpu_of(one_slow) - base.cpu, 2.0 * base.task_s, 1e-9 * base.cpu);
+
+  // A second straggler in the same wave costs nothing more ...
+  PhaseCost same_wave = one_slow;
+  same_wave.tasks[0].time_factor = 3.0;
+  EXPECT_DOUBLE_EQ(cpu_of(same_wave), cpu_of(one_slow));
+
+  // ... one in the other wave stretches that wave too.
+  PhaseCost both_waves = one_slow;
+  both_waves.tasks[3].time_factor = 3.0;
+  EXPECT_NEAR(cpu_of(both_waves) - base.cpu, 4.0 * base.task_s, 1e-9 * base.cpu);
+}
+
+TEST(PhaseTerms, SumOrdersDifferOnlyInRounding) {
+  // TeraSort compresses its map output, so its map tasks carry codec
+  // instructions: the closed form adds them one by one, the task
+  // totals add them with the rest of each task.
+  PerfModel atom(arch::atom_c2758());
+  JobCost jc = atom.extract(trace_for(wl::WorkloadId::kTeraSort), 4);
+  for (const PhaseCost* pc : {&jc.map, &jc.reduce, &jc.other}) {
+    PhaseTerms a = atom.phase_terms(*pc, 1.4 * GHz, 4, 117e6, SumOrder::kClosedForm);
+    PhaseTerms b = atom.phase_terms(*pc, 1.4 * GHz, 4, 117e6, SumOrder::kTaskTotals);
+    EXPECT_EQ(a.ntasks, b.ntasks);
+    EXPECT_EQ(a.active, b.active);
+    for (auto [x, y] : {std::pair{a.cpu, b.cpu}, std::pair{a.io, b.io},
+                        std::pair{a.net, b.net}, std::pair{a.floor, b.floor},
+                        std::pair{a.dram_bytes, b.dram_bytes}}) {
+      EXPECT_NEAR(x, y, 1e-12 * std::max(1.0, std::abs(x)));
+    }
+  }
+}
+
+TEST(PerfModel, RetryBackoffAddsTimeButNoEnergy) {
+  // The paper's idle-subtracted meter reads a waiting slot as zero
+  // dynamic power: backoff stretches the phase, not its energy.
+  PerfModel xeon(arch::xeon_e5_2420());
+  PhaseCost calm = uniform_phase(4, 1e9);
+  PhaseCost waiting = calm;
+  waiting.tasks[0].backoff_s = 6.0;
+  waiting.tasks[3].backoff_s = 2.0;
+  PhaseResult r0 = xeon.price_phase(calm, 1.8 * GHz, 4);
+  PhaseResult r1 = xeon.price_phase(waiting, 1.8 * GHz, 4);
+  // 8 s of backoff amortized over 4 active slots.
+  EXPECT_NEAR(r1.time - r0.time, 2.0, 1e-9);
+  EXPECT_DOUBLE_EQ(r1.energy, r0.energy);
+  EXPECT_DOUBLE_EQ(r1.dynamic_power, r1.energy / r1.time);
+  EXPECT_LT(r1.dynamic_power, r0.dynamic_power);
+}
+
+TEST(RunResult, PhaseEnergyIsDynamicPowerTimesTime) {
+  // Every energy the model reports is its own integral of the phase's
+  // idle-subtracted dynamic power over the phase's wall-clock time.
+  for (const auto& server : arch::paper_servers()) {
+    PerfModel model(server);
+    RunResult r = model.price(trace_for(wl::WorkloadId::kWordCount), 1.6 * GHz, 4);
+    for (const PhaseResult* p : {&r.map, &r.reduce, &r.other}) {
+      EXPECT_DOUBLE_EQ(p->energy, p->dynamic_power * p->time) << server.name;
+    }
+  }
+}
+
+TEST(RunResult, WholePowerLiesBetweenPhaseExtremes) {
+  PerfModel model(arch::xeon_e5_2420());
+  RunResult r = model.price(trace_for(wl::WorkloadId::kGrep), 1.8 * GHz, 4);
+  double lo = 1e300, hi = 0;
+  for (const PhaseResult* p : {&r.map, &r.reduce, &r.other}) {
+    if (p->time <= 0) continue;
+    lo = std::min(lo, p->dynamic_power);
+    hi = std::max(hi, p->dynamic_power);
+  }
+  ASSERT_LT(lo, hi);
+  const PhaseResult w = r.whole();
+  EXPECT_GE(w.dynamic_power, lo);
+  EXPECT_LE(w.dynamic_power, hi);
+  EXPECT_NEAR(w.dynamic_power * w.time, r.total_energy(), 1e-9 * r.total_energy());
+}
 
 }  // namespace
 }  // namespace bvl::perf
