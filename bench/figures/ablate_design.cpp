@@ -140,13 +140,29 @@ Report build(Context& ctx) {
   return rep;
 }
 
+/// WordCount with the combiner on and off, Sort at five spill buffers
+/// and TeraSort once, each at 1 GB.
+std::vector<core::RunSpec> specs() {
+  core::RunSpec wc = trace_spec(wl::WorkloadId::kWordCount, 1 * GB);
+  core::RunSpec wc_off = wc;
+  wc_off.use_combiner = false;
+  std::vector<core::RunSpec> out{wc, wc_off};
+  for (Bytes buf : {32 * MB, 64 * MB, 100 * MB, 200 * MB, 400 * MB}) {
+    core::RunSpec sort = trace_spec(wl::WorkloadId::kSort, 1 * GB);
+    sort.spill_buffer = buf;
+    out.push_back(sort);
+  }
+  out.push_back(trace_spec(wl::WorkloadId::kTeraSort, 1 * GB));
+  return out;
+}
+
 }  // namespace
 
 void register_ablate(report::FigureRegistry& r) {
   r.add({"ablate", "", "Design-choice ablations (combiner, spill buffer, MLP, compression)",
          "DESIGN.md ablations",
          "combiner and compression cut time; bigger spill buffers and MLP hiding behave as modeled",
-         build});
+         build, specs()});
 }
 
 }  // namespace bvl::figs

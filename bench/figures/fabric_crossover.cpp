@@ -292,7 +292,7 @@ void register_fabric_crossover(report::FigureRegistry& r) {
          "hetero EDP win holds at every NIC generation; at 10/40GbE endpoints the frozen "
          "core binds, earliest-finish forfeits the hetero win to the best class-blind "
          "all-big config and rack-local restores it by cutting the cross-rack fraction",
-         build});
+         build, core::replay_specs(crossover_jobs())});
 }
 
 }  // namespace bvl::figs

@@ -194,7 +194,7 @@ void register_fabric(report::FigureRegistry& r) {
          "flows conserve bytes; the modeled fabric floors at the infinite-fabric replay; "
          "makespan degrades monotonically with spine oversubscription; hetero's EDP win over "
          "all-big survives 1:1 -> 8:1 (no crossover)",
-         build});
+         build, core::replay_specs(fabric_jobs())});
 }
 
 }  // namespace bvl::figs

@@ -59,7 +59,8 @@ Report build(Context& ctx) {
 void register_fig01(report::FigureRegistry& r) {
   r.add({"fig01", "", "IPC of SPEC, PARSEC and Hadoop on the little and big core",
          "Sec. 2.1, Fig. 1",
-         "Hadoop IPC below SPEC on both cores; big/little IPC gap smaller for Hadoop", build});
+         "Hadoop IPC below SPEC on both cores; big/little IPC gap smaller for Hadoop", build,
+         default_specs()});
 }
 
 }  // namespace bvl::figs

@@ -71,7 +71,7 @@ void register_fig02(report::FigureRegistry& r) {
   r.add({"fig02", "", "ED^xP ratio Atom vs Xeon for SPEC, PARSEC and Hadoop",
          "Sec. 2.2, Fig. 2",
          "A/X ratio grows with the delay exponent; Hadoop's EDP gap closer to parity than SPEC's",
-         build});
+         build, default_specs()});
 }
 
 }  // namespace bvl::figs

@@ -120,13 +120,20 @@ Report build(Context& ctx) {
   return rep;
 }
 
+std::vector<core::RunSpec> specs() {
+  std::vector<core::RunSpec> out;
+  for (auto id : wl::micro_benchmarks())
+    for (Bytes b : bench::micro_block_sweep()) out.push_back(trace_spec(id, 1 * GB, b));
+  return out;
+}
+
 }  // namespace
 
 void register_fig03(report::FigureRegistry& r) {
   r.add({"fig03", "", "Micro-benchmark execution time vs block size x frequency",
          "Sec. 3.1.1, Fig. 3",
          "32 MB blocks worst up to 256 MB; Atom gains more seconds from DVFS; Sort is the outlier",
-         build});
+         build, specs()});
 }
 
 }  // namespace bvl::figs

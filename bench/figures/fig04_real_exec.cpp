@@ -71,12 +71,19 @@ Report build(Context& ctx) {
   return rep;
 }
 
+std::vector<core::RunSpec> specs() {
+  std::vector<core::RunSpec> out;
+  for (auto id : wl::real_world_apps())
+    for (Bytes b : bench::real_block_sweep()) out.push_back(trace_spec(id, 10 * GB, b));
+  return out;
+}
+
 }  // namespace
 
 void register_fig04(report::FigureRegistry& r) {
   r.add({"fig04", "", "Real-world application execution time vs block size x frequency",
          "Sec. 3.1.1, Fig. 4",
-         "64 MB default never optimal; gains up to 256 MB, negligible beyond", build});
+         "64 MB default never optimal; gains up to 256 MB, negligible beyond", build, specs()});
 }
 
 }  // namespace bvl::figs

@@ -70,7 +70,8 @@ Report build(Context& ctx) {
 
 void do_register(report::FigureRegistry& r, const std::string& id, const std::string& title) {
   r.add({id, "fig0506", title, "Sec. 3.2.1, Figs. 5 and 6",
-         "EDP falls with frequency (except Sort); Atom wins entire-app EDP except Sort", build});
+         "EDP falls with frequency (except Sort); Atom wins entire-app EDP except Sort", build,
+         default_specs()});
 }
 
 }  // namespace

@@ -95,7 +95,7 @@ Report build(Context& ctx) {
 void do_register(report::FigureRegistry& r, const std::string& id, const std::string& title) {
   r.add({id, "fig0708", title, "Sec. 3.2.2, Figs. 7 and 8",
          "map phase DVFS-friendly and Atom-leaning; reduce phase gains little, Xeon-leaning for TS",
-         build});
+         build, default_specs()});
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ void register_fig09(report::FigureRegistry& r) {
   r.add({"fig09", "", "Xeon/Atom EDP ratio vs HDFS block size",
          "Sec. 3.2.3, Fig. 9",
          "Atom stays ahead on EDP at large blocks for every app except Sort, which flips to Xeon",
-         build});
+         build, block_sweep_specs()});
 }
 
 }  // namespace bvl::figs

@@ -1,6 +1,8 @@
 // Figs. 10 & 11: normalized execution-time breakdown (map / reduce /
 // others) plus total time across input data sizes {1, 10, 20 GB} per
 // node on both servers (Fig. 10: WC, TS; Fig. 11: NB, FP).
+#include <algorithm>
+
 #include "figures/fig_util.hpp"
 
 namespace bvl::figs {
@@ -81,10 +83,25 @@ Report build(Context& ctx) {
   return rep;
 }
 
+/// The breakdown apps at 1, 10 and 20 GB, then every other workload at
+/// 1 and 20 GB (the growth check).
+std::vector<core::RunSpec> specs() {
+  std::vector<core::RunSpec> out;
+  const std::vector<wl::WorkloadId> apps{wl::WorkloadId::kWordCount, wl::WorkloadId::kTeraSort,
+                                         wl::WorkloadId::kNaiveBayes, wl::WorkloadId::kFpGrowth};
+  for (auto id : apps)
+    for (Bytes d : {1 * GB, 10 * GB, 20 * GB}) out.push_back(trace_spec(id, d));
+  for (auto id : wl::all_workloads()) {
+    if (std::find(apps.begin(), apps.end(), id) != apps.end()) continue;
+    for (Bytes d : {1 * GB, 20 * GB}) out.push_back(trace_spec(id, d));
+  }
+  return out;
+}
+
 void do_register(report::FigureRegistry& r, const std::string& id, const std::string& title) {
   r.add({id, "fig1011", title, "Sec. 3.3, Figs. 10 and 11",
          "WC/NB stay map-dominated; FP shifts to reduce; Atom's time grows faster than Xeon's",
-         build});
+         build, specs()});
 }
 
 }  // namespace

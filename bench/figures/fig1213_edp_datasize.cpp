@@ -86,9 +86,17 @@ Report build(Context& ctx) {
   return rep;
 }
 
+std::vector<core::RunSpec> specs() {
+  std::vector<core::RunSpec> out;
+  for (auto id : wl::all_workloads())
+    for (Bytes d : {1 * GB, 10 * GB, 20 * GB}) out.push_back(trace_spec(id, d));
+  return out;
+}
+
 void do_register(report::FigureRegistry& r, const std::string& id, const std::string& title) {
   r.add({id, "fig1213", title, "Sec. 3.3, Figs. 12 and 13",
-         "EDP rises with data size; the A/X EDP ratio drifts toward Xeon except for Sort", build});
+         "EDP rises with data size; the A/X EDP ratio drifts toward Xeon except for Sort", build,
+         specs()});
 }
 
 }  // namespace

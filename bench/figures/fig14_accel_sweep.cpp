@@ -93,7 +93,8 @@ Report build(Context& ctx) {
 void register_fig14(report::FigureRegistry& r) {
   r.add({"fig14", "", "Post-acceleration Atom-vs-Xeon speedup ratio vs acceleration factor",
          "Sec. 3.4, Fig. 14",
-         "ratio saturates below 1; weakest where the map share is smallest (FP here)", build});
+         "ratio saturates below 1; weakest where the map share is smallest (FP here)", build,
+         default_specs()});
 }
 
 }  // namespace bvl::figs

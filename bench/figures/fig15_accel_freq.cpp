@@ -55,7 +55,8 @@ Report build(Context& ctx) {
 void register_fig15(report::FigureRegistry& r) {
   r.add({"fig15", "", "Post-acceleration speedup ratio vs operating frequency",
          "Sec. 3.4.1, Fig. 15",
-         "post-acceleration migration gain stays below 1 at every frequency", build});
+         "post-acceleration migration gain stays below 1 at every frequency", build,
+         default_specs()});
 }
 
 }  // namespace bvl::figs

@@ -95,7 +95,8 @@ Report build(Context& ctx) {
 void register_fig16(report::FigureRegistry& r) {
   r.add({"fig16", "", "Post-acceleration speedup ratio vs HDFS block size",
          "Sec. 3.4.1, Fig. 16",
-         "ratio stays below 1 at every block size; FP weakest, map-only Sort strongest", build});
+         "ratio stays below 1 at every block size; FP weakest, map-only Sort strongest", build,
+         block_sweep_specs()});
 }
 
 }  // namespace bvl::figs

@@ -95,7 +95,8 @@ Report build(Context& ctx) {
 void register_fig17(report::FigureRegistry& r) {
   r.add({"fig17", "", "Spider-graph cost metrics normalized to 8 Xeon cores",
          "Sec. 3.5, Fig. 17",
-         "Atom dominates EDP except Sort; ED2P pulls Xeon back; area term flatters Atom", build});
+         "Atom dominates EDP except Sort; ED2P pulls Xeon back; area term flatters Atom", build,
+         default_specs()});
 }
 
 }  // namespace bvl::figs

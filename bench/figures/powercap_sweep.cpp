@@ -281,7 +281,7 @@ void register_powercap(report::FigureRegistry& r) {
          "makespan; hetero beats all-big on time and energy at the binding budgets; "
          "race-to-idle: performance dominates ondemand dominates powersave on both time "
          "and metered energy",
-         build});
+         build, core::replay_specs(powercap_jobs())});
 }
 
 }  // namespace bvl::figs

@@ -148,6 +148,12 @@ Report build(Context& ctx) {
   return rep;
 }
 
+std::vector<core::RunSpec> specs() {
+  std::vector<core::JobRequest> jobs;
+  for (const auto& t : service_tenants()) jobs.insert(jobs.end(), t.mix.begin(), t.mix.end());
+  return core::replay_specs(jobs);
+}
+
 }  // namespace
 
 void register_service(report::FigureRegistry& r) {
@@ -156,7 +162,7 @@ void register_service(report::FigureRegistry& r) {
          "p99 grows with load on every rack; the all-big rack queues first under iso-power and "
          "the hetero rack overtakes it on service EDP once queueing starts; Little's law holds "
          "on every run",
-         build});
+         build, specs()});
 }
 
 }  // namespace bvl::figs

@@ -117,7 +117,7 @@ void register_table3(report::FigureRegistry& r) {
   r.add({"table3", "", "Operational and capital cost vs core count",
          "Sec. 3.5, Table 3",
          "more cores lower ED^xP for the heavy apps; area term reverses the trend for micros",
-         build});
+         build, default_specs()});
 }
 
 }  // namespace bvl::figs

@@ -1,6 +1,7 @@
 #include "core/characterizer.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 
 #include "util/error.hpp"
@@ -98,19 +99,12 @@ const mr::JobTrace& Characterizer::trace(const RunSpec& spec) {
 
 mr::JobTrace Characterizer::load_or_characterize(const RunSpec& spec, const mr::JobConfig& cfg,
                                                  const std::string& key) {
-  if (disk_) {
-    if (auto cached = disk_->load(key)) {
-      // The serialized form excludes the FaultPlan (an input, not an
-      // output); reattach the spec's so the cached trace's config is
-      // indistinguishable from a fresh characterization's.
-      cached->config.fault = spec.fault;
-      return std::move(*cached);
-    }
-  }
+  if (auto cached = load_from_disk(spec, key)) return std::move(*cached);
 
   auto def = wl::make_workload(spec.workload);
   engine_runs_.fetch_add(1);
-  mr::JobTrace t = engine_.run(*def, cfg);
+  const std::shared_ptr<ThreadPool> pool = acquire_pool();
+  mr::JobTrace t = mr::Engine(pool.get()).run(*def, cfg);
 
   // Best-effort publish for future processes; failure just means the
   // next run re-characterizes.
@@ -118,18 +112,93 @@ mr::JobTrace Characterizer::load_or_characterize(const RunSpec& spec, const mr::
   return t;
 }
 
-void Characterizer::prefetch(const std::vector<RunSpec>& specs, int threads) {
-  std::vector<std::string> keys;
-  keys.reserve(specs.size());
-  for (const RunSpec& spec : specs) keys.push_back(cache_key(spec.workload, config_for(spec)));
-  std::vector<const RunSpec*> missing;
+std::optional<mr::JobTrace> Characterizer::load_from_disk(const RunSpec& spec,
+                                                          const std::string& key) const {
+  if (!disk_) return std::nullopt;
+  std::optional<mr::JobTrace> cached = disk_->load(key);
+  // The serialized form excludes the FaultPlan (an input, not an
+  // output); reattach the spec's so the cached trace's config is
+  // indistinguishable from a fresh characterization's.
+  if (cached) cached->config.fault = spec.fault;
+  return cached;
+}
+
+bool Characterizer::load_cached(const RunSpec& spec) {
+  const std::string key = cache_key(spec.workload, config_for(spec));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (cache_.count(keys[i]) == 0) missing.push_back(&specs[i]);
-    }
+    if (cache_.count(key) != 0) return true;
+    if (in_flight_.count(key) != 0) return false;
   }
-  parallel_for(threads, missing.size(), [&](std::size_t i) { trace(*missing[i]); });
+  std::optional<mr::JobTrace> t = load_from_disk(spec, key);
+  if (!t) return false;
+  // A caller of trace() racing this load keeps whichever identical
+  // copy was stored first.
+  std::lock_guard<std::mutex> lock(mu_);
+  cache_.emplace(key, std::move(*t));
+  return true;
+}
+
+void Characterizer::prefetch(const std::vector<RunSpec>& specs, int threads) {
+  std::vector<const RunSpec*> cold;
+  for (const RunSpec& spec : specs) {
+    if (!load_cached(spec)) cold.push_back(&spec);
+  }
+  const std::size_t drivers = std::min(
+      {static_cast<std::size_t>(kMaxInFlight),
+       static_cast<std::size_t>(ThreadPool::resolve(threads)), cold.size()});
+  if (drivers <= 1 || on_pool_worker()) {
+    for (const RunSpec* spec : cold) trace(*spec);
+    return;
+  }
+  // Each driver takes the next cold spec as soon as its last one is
+  // stored. A failure does not stop the others; the lowest-index one
+  // is rethrown once both drivers are done.
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::exception_ptr error;
+  std::size_t error_at = cold.size();
+  bvl::parallel_for(static_cast<int>(drivers), drivers, [&](std::size_t) {
+    for (std::size_t i; (i = next.fetch_add(1)) < cold.size();) {
+      try {
+        trace(*cold[i]);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (i < error_at) {
+          error = std::current_exception();
+          error_at = i;
+        }
+      }
+    }
+  });
+  if (error) std::rethrow_exception(error);
+}
+
+void Characterizer::run_on_pool(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  const std::shared_ptr<ThreadPool> p = n > 1 ? acquire_pool() : nullptr;
+  if (p == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  p->parallel_for(n, fn);
+}
+
+std::shared_ptr<ThreadPool> Characterizer::acquire_pool() {
+  const int width = ThreadPool::resolve(exec_threads_);
+  if (width <= 1) return nullptr;
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  std::shared_ptr<ThreadPool> pool = pool_.lock();
+  if (!pool) {
+    pool = std::make_shared<ThreadPool>(width);
+    pool_ = pool;
+  }
+  return pool;
+}
+
+bool Characterizer::on_pool_worker() {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  const std::shared_ptr<ThreadPool> pool = pool_.lock();
+  return pool != nullptr && pool->on_worker();
 }
 
 const perf::EventPricer& Characterizer::event_pricer(const arch::ServerConfig& server,

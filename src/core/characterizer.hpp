@@ -6,10 +6,12 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,11 +64,25 @@ class Characterizer {
   /// the key is forgotten, so a later call retries.
   const mr::JobTrace& trace(const RunSpec& spec);
 
-  /// Brings every spec's trace into memory, characterizing the missing
-  /// ones on a pool of at most `threads` workers (0 = hardware
-  /// concurrency, 1 = inline). Creates no pool when every trace is
-  /// already in memory. The rack replays pre-characterize this way.
+  /// Brings every spec's trace into memory. Memory and disk hits load
+  /// inline; the specs that need the engine are characterized at most
+  /// min(kMaxInFlight, `threads`) at a time (0 = hardware concurrency),
+  /// by that many driver threads whose engine runs share the pool, so
+  /// no more tasks run than the pool is wide. With one at a time, or
+  /// when called from a pool task, they run inline on the caller. No
+  /// thread starts when nothing needs the engine. The figure registry
+  /// and the rack replays pre-characterize this way.
   void prefetch(const std::vector<RunSpec>& specs, int threads);
+
+  /// Characterizations one prefetch() keeps in flight at most. Each
+  /// holds its map outputs until its reduce wave ends, so memory grows
+  /// with this count even though the pool bounds the running tasks.
+  static constexpr int kMaxInFlight = 2;
+
+  /// Runs fn(i) for every i in [0, n) on the pool (inline at width 1,
+  /// or when called from a pool task). A task may call trace(): a
+  /// missing trace is then characterized inline on that worker.
+  void run_on_pool(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// How many times this characterizer has run the engine, failed runs
   /// included. Memory and disk hits do not count.
@@ -88,12 +104,15 @@ class Characterizer {
   /// Convenience for the ubiquitous Atom-vs-Xeon pair.
   std::pair<perf::RunResult, perf::RunResult> run_pair(const RunSpec& spec);
 
-  /// Worker-pool width each engine execution runs with (JobConfig::
-  /// exec_threads semantics: 0 = hardware concurrency, 1 = serial),
-  /// and the width the figure builders fan their rack replays out at.
-  /// Thread count never changes trace contents, so it is not part of
-  /// the cache key.
-  void set_exec_threads(int n) { exec_threads_ = n; }
+  /// Width of the one worker pool every engine run and run_on_pool()
+  /// call of this characterizer share (JobConfig::exec_threads
+  /// semantics: 0 = hardware concurrency, 1 = serial, no pool). A
+  /// setup-time call. Thread count never changes trace contents, so it
+  /// is not part of the cache key.
+  void set_exec_threads(int n) {
+    exec_threads_ = n;
+    pool_.reset();
+  }
   int exec_threads() const { return exec_threads_; }
 
   /// Attaches a persistent on-disk trace cache rooted at `dir`
@@ -121,12 +140,28 @@ class Characterizer {
   mr::JobTrace load_or_characterize(const RunSpec& spec, const mr::JobConfig& cfg,
                                     const std::string& key);
 
+  /// The trace stored on disk under `key`, if any.
+  std::optional<mr::JobTrace> load_from_disk(const RunSpec& spec, const std::string& key) const;
+
+  /// True when the spec's trace is in memory, or now is after a disk
+  /// hit. Never runs the engine; a key in flight reads as missing.
+  bool load_cached(const RunSpec& spec);
+
+  /// The shared pool; nullptr at width 1. It lives while some engine
+  /// run or run_on_pool() call holds it and is made again after: a pool
+  /// kept across runs that go one at a time (service_rack's set-up, say)
+  /// left its workers' allocator arenas holding 10–25 % more peak RSS.
+  std::shared_ptr<ThreadPool> acquire_pool();
+  /// True on a worker of the shared pool.
+  bool on_pool_worker();
+
   hdfs::DfsConfig dfs_;
   perf::ClusterConfig cluster_;
   Bytes target_exec_;
   std::uint64_t seed_;
   int exec_threads_ = 0;
-  mr::Engine engine_;
+  std::mutex pool_mu_;  ///< guards pool_
+  std::weak_ptr<ThreadPool> pool_;
   std::unique_ptr<CharCache> disk_;  ///< optional persistent trace cache
   std::mutex mu_;  ///< guards the trace and pricer caches (node refs stay stable)
   std::map<std::string, mr::JobTrace> cache_;

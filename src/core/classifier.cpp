@@ -27,12 +27,16 @@ AppClass classify(const perf::RunResult& run) {
 }
 
 AppClass classify_workload(Characterizer& ch, wl::WorkloadId id) {
+  return classify(ch.run(classifier_spec(id), arch::xeon_e5_2420()));
+}
+
+RunSpec classifier_spec(wl::WorkloadId id) {
   RunSpec ref;
   ref.workload = id;
   ref.input_size = 1 * GB;
   ref.block_size = 512 * MB;
   ref.freq = 1.8 * GHz;
-  return classify(ch.run(ref, arch::xeon_e5_2420()));
+  return ref;
 }
 
 }  // namespace bvl::core

@@ -13,6 +13,7 @@
 namespace bvl::core {
 
 class Characterizer;
+struct RunSpec;
 
 enum class AppClass { kComputeBound, kIoBound, kHybrid };
 
@@ -29,5 +30,8 @@ AppClass classify(const perf::RunResult& reference_run);
 /// the reference point the six studied applications land exactly on
 /// the paper's taxonomy (WC/NB/FP compute, ST I/O, GP/TS hybrid).
 AppClass classify_workload(Characterizer& ch, wl::WorkloadId id);
+
+/// The reference-point spec classify_workload prices.
+RunSpec classifier_spec(wl::WorkloadId id);
 
 }  // namespace bvl::core

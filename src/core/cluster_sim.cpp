@@ -45,6 +45,24 @@ int task_slots_for(const arch::ServerConfig& server, const MixOptions& opts) {
 
 double MixResult::edxp(int x) const { return edxp_value(total_energy, makespan, x); }
 
+std::vector<RunSpec> replay_specs(const std::vector<JobRequest>& jobs) {
+  std::vector<RunSpec> out;
+  std::set<std::pair<int, Bytes>> seen;
+  for (const JobRequest& job : jobs) {
+    if (!seen.emplace(static_cast<int>(job.workload), job.input_size).second) continue;
+    RunSpec spec;
+    spec.workload = job.workload;
+    spec.input_size = job.input_size;
+    out.push_back(spec);
+  }
+  const std::size_t distinct = out.size();
+  for (std::size_t i = 0; i < distinct; ++i) {
+    const RunSpec ref = classifier_spec(out[i].workload);
+    if (seen.emplace(static_cast<int>(ref.workload), ref.input_size).second) out.push_back(ref);
+  }
+  return out;
+}
+
 MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
                        const std::vector<NodeSpec>& rack, MixPolicy policy, int exec_threads,
                        const MixOptions& opts) {

@@ -170,12 +170,12 @@ struct MixResult {
 /// the `rack` under `policy`. Per-task demands and nominal energies
 /// come from the event pricer on each node type.
 ///
-/// `exec_threads` sizes a worker pool that pre-characterizes every
-/// distinct job spec of the mix in parallel before the (deterministic,
-/// single-threaded) timeline replay — the engine runs dominate the
-/// cost. 0 = one worker per hardware thread, 1 = fully serial; no pool
-/// is created when every trace is already in memory
-/// (Characterizer::prefetch). The schedule is identical either way.
+/// `exec_threads` bounds how many characterizations of the mix's
+/// replay_specs run at once before the (deterministic, single-threaded)
+/// timeline replay — the engine runs dominate the cost. 0 = hardware
+/// concurrency, 1 = one at a time; no thread starts when every trace is
+/// already in memory or on disk (Characterizer::prefetch). The schedule
+/// is identical either way.
 MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
                        const std::vector<NodeSpec>& rack, MixPolicy policy,
                        int exec_threads = 0, const MixOptions& opts = {});
@@ -193,6 +193,12 @@ std::vector<std::vector<NodeSpec>> comparison_racks(int big_nodes = 4);
 
 /// One tenant of the open stream: its fair-share identity plus the
 /// job mix its arrivals sample from (uniformly, seeded).
+/// Every spec whose trace a replay of `jobs` reads: each distinct
+/// (workload, input) job spec in first-seen order, then the classifier
+/// reference of each workload (classify_workload) that none of those
+/// already is.
+std::vector<RunSpec> replay_specs(const std::vector<JobRequest>& jobs);
+
 struct TenantWorkload {
   sim::TenantSpec tenant;
   std::vector<JobRequest> mix;
@@ -292,8 +298,8 @@ struct ServiceResult {
 /// (thinned by `opts.diurnal`) are assigned to `tenants` by arrival
 /// share, queued under strict-priority weighted fair sharing, and
 /// dispatched at task granularity onto the rack under `opts.policy`
-/// with O(log n) incremental node selection. `exec_threads` sizes the
-/// pre-characterization pool exactly as in simulate_mix; the timeline
+/// with O(log n) incremental node selection. `exec_threads` bounds
+/// pre-characterization exactly as in simulate_mix; the timeline
 /// replay itself is deterministic and single-threaded, so the full
 /// ServiceResult is a pure function of (jobs mixes, rack, opts).
 ServiceResult simulate_service(Characterizer& ch, const std::vector<TenantWorkload>& tenants,

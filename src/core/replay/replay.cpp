@@ -125,9 +125,9 @@ Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
   }
   policy_ = placement::make_placement_policy(policy, fabric.get());
 
-  // ---- Pre-characterize distinct job specs in parallel ----
+  // ---- Pre-characterize every trace the replay reads ----
   // The engine runs dominate; the timeline replay only consumes cached
-  // traces. A warm characterizer has them all and starts no pool.
+  // traces. A warm characterizer has them all and starts no thread.
   std::vector<RunSpec> distinct;
   for (const JobRequest& job : specs) {
     auto key = std::make_pair(static_cast<int>(job.workload), job.input_size);
@@ -137,7 +137,7 @@ Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
     spec.input_size = job.input_size;
     distinct.push_back(spec);
   }
-  ch.prefetch(distinct, exec_threads);
+  ch.prefetch(replay_specs(specs), exec_threads);
 
   // ---- Render each distinct spec on each node type (and DVFS level) ----
   for (const RunSpec& spec : distinct) {

@@ -95,9 +95,9 @@ class Replay {
  public:
   /// Expands `rack` into the type table and flat node list, attaches
   /// the fabric and power runtime `opts` asks for, pre-characterizes
-  /// every distinct (workload, input) of `specs` on at most
-  /// `exec_threads` workers (Characterizer::prefetch) and renders each
-  /// on every node type.
+  /// replay_specs(specs) at most `exec_threads` at a time
+  /// (Characterizer::prefetch) and renders each distinct (workload,
+  /// input) of `specs` on every node type.
   Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
          const std::vector<JobRequest>& specs, const MixOptions& opts, MixPolicy policy,
          int exec_threads, const char* where);

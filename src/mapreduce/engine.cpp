@@ -65,22 +65,22 @@ JobTrace Engine::run(JobDefinition& def, const JobConfig& cfg,
 
   auto blocks = hdfs::plan_blocks(cfg.input_size, cfg.block_size);
 
-  // Executor pool, created lazily on the first multi-task phase and
-  // shared by the map and reduce waves. Tasks are pure functions of
-  // their index (the JobDefinition is only read), so executing them
-  // concurrently and merging the per-task results in task-index order
-  // below yields a trace that is bit-identical at any width. The trace
-  // records the requested width; the pool itself is never wider than
-  // the larger wave, since extra workers would only idle.
+  // Executor pool: the shared one, or one of this run's own made on
+  // the first multi-task phase and kept for the reduce wave. Tasks are
+  // pure functions of their index (the JobDefinition is only read), so
+  // executing them concurrently and merging the per-task results in
+  // task-index order below yields a trace that is bit-identical at any
+  // width. The trace records the requested width; a pool starts only
+  // the workers a wave's chunks need.
   const int exec_threads = ThreadPool::resolve(cfg.exec_threads);
   trace.exec_threads_used = exec_threads;
-  const std::size_t widest_wave = std::max(blocks.size(), static_cast<std::size_t>(reducers));
-  std::unique_ptr<ThreadPool> pool;
+  std::unique_ptr<ThreadPool> own_pool;
   auto run_tasks = [&](std::size_t n, const std::function<void(std::size_t)>& task) {
     if (exec_threads > 1 && n > 1) {
-      if (!pool) {
-        pool = std::make_unique<ThreadPool>(static_cast<int>(
-            std::min(static_cast<std::size_t>(exec_threads), widest_wave)));
+      ThreadPool* pool = pool_;
+      if (pool == nullptr) {
+        if (!own_pool) own_pool = std::make_unique<ThreadPool>(exec_threads);
+        pool = own_pool.get();
       }
       pool->parallel_for(n, task);
     } else {
@@ -189,7 +189,8 @@ JobTrace Engine::run(JobDefinition& def, const JobConfig& cfg,
 
     // Route each map output pair to its reduce partition: only the
     // 16-byte refs move, each partition's segment stays a sorted view
-    // into the producing map task's arena.
+    // into the producing map task's arena. A routed output's own index
+    // is dead, so it is freed at once; the arena stays for the views.
     std::vector<std::vector<RunView>> segments(static_cast<std::size_t>(reducers));
     for (auto& seg : segments) {
       seg.resize(map_outputs.size());
@@ -201,6 +202,7 @@ JobTrace Engine::run(JobDefinition& def, const JobConfig& cfg,
         require(p >= 0 && p < reducers, "Engine::run: partition out of range");
         segments[static_cast<std::size_t>(p)][m].refs.push_back(ref);
       }
+      std::vector<KVRef>().swap(map_outputs[m].refs);
     }
 
     // A saturated combiner means the reduce side sees the same data

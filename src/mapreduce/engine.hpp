@@ -12,11 +12,13 @@
 // agree.
 //
 // Parallel execution: map tasks (then reduce tasks) run concurrently
-// on a JobConfig::exec_threads-wide worker pool. Each task is a pure
-// function of its index and writes only its own result slot; the
-// engine merges results into the trace serially in task-index order,
-// so the JobTrace is bit-identical regardless of thread count
-// (verified by tests/mapreduce/test_engine_parallel.cpp).
+// on a worker pool: the one the engine was constructed with, shared
+// with other runs, or else a JobConfig::exec_threads-wide pool of the
+// run's own. Each task is a pure function of its index and writes
+// only its own result slot; the engine merges results into the trace
+// serially in task-index order, so the JobTrace is bit-identical
+// regardless of thread count or pool (verified by
+// tests/mapreduce/test_engine_parallel.cpp).
 //
 // Fault tolerance: JobConfig::fault carries a deterministic FaultPlan
 // (mapreduce/fault.hpp). Failed attempts re-execute the task on the
@@ -36,10 +38,21 @@
 #include "mapreduce/job.hpp"
 #include "mapreduce/trace.hpp"
 
+namespace bvl {
+class ThreadPool;
+}
+
 namespace bvl::mr {
 
 class Engine {
  public:
+  /// `pool`, when set, runs the task waves of every multi-threaded run
+  /// (JobConfig::exec_threads other than 1), and its width, not
+  /// exec_threads, bounds how many tasks run at once: several engines
+  /// sharing one pool never run more tasks together than it is wide.
+  /// Without one, each run starts its own exec_threads-wide pool.
+  explicit Engine(ThreadPool* pool = nullptr) : pool_(pool) {}
+
   /// Floor on executed bytes per split, so tiny scaled splits still
   /// exercise real code.
   static constexpr Bytes kMinExecSplit = 4 * KB;
@@ -50,6 +63,9 @@ class Engine {
   /// streamed to it — examples use this to show real results.
   JobTrace run(JobDefinition& def, const JobConfig& cfg,
                const std::function<void(const KV&)>& output_sink = nullptr) const;
+
+ private:
+  ThreadPool* pool_;
 };
 
 }  // namespace bvl::mr

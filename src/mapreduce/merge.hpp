@@ -119,6 +119,11 @@ class GroupIterator {
   /// segment order (the tree's stable tie order).
   bool next(std::string_view& key, std::vector<std::string_view>& values);
 
+  /// True once every segment is drained: the iterator reads no ref
+  /// again, so the caller may free the segments' ref indexes (the
+  /// arenas must stay).
+  bool exhausted() const { return tree_.empty(); }
+
   ~GroupIterator();
 
  private:

@@ -41,6 +41,12 @@ ReduceTaskResult run_reduce_task(const JobDefinition& def, std::vector<RunView> 
   std::vector<std::string_view> values;
   while (groups.next(key, values)) {
     c.hash_ops += 1;  // grouping advance per distinct key
+    // The last group is gathered: free the segments' refs before the
+    // reducer runs (a one-key reducer such as PFP's holds its whole
+    // shard in `values`, which points into the arenas).
+    if (groups.exhausted()) {
+      for (RunView& seg : segments) std::vector<KVRef>().swap(seg.refs);
+    }
     reducer->reduce(key, values, emitter, c);
   }
 

@@ -9,8 +9,7 @@ namespace bvl::power {
 PowerModel::PowerModel(const arch::ServerConfig& server)
     : params_(server.power),
       dvfs_(server.dvfs),
-      issue_width_(server.core.issue_width),
-      name_(server.name) {}
+      issue_width_(server.core.issue_width) {}
 
 double PowerModel::activity_factor(double ipc) const {
   // Clock gating keeps a floor of switching activity; beyond that,

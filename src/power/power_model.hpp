@@ -49,7 +49,6 @@ class PowerModel {
   arch::PowerParams params_;
   arch::DvfsTable dvfs_;
   int issue_width_;
-  std::string name_;
 };
 
 }  // namespace bvl::power

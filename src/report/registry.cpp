@@ -32,6 +32,7 @@ std::vector<std::string> FigureRegistry::groups() const {
 Report FigureRegistry::build(const std::string& group, Context& ctx) const {
   const FigureDef* def = find(group);
   require(def != nullptr, "FigureRegistry: unknown figure '" + group + "'");
+  ctx.ch.prefetch(def->specs, ctx.ch.exec_threads());
   Report rep = def->build(ctx);
   rep.id = def->group;
   return rep;

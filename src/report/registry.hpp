@@ -36,6 +36,11 @@ struct FigureDef {
   std::string paper_ref;
   std::string shape_note;  ///< what the shape assertions pin, for --list
   std::function<Report(Context&)> build;
+  /// One spec per trace `build` reads (the operating point does not
+  /// matter: frequency and slots are priced, not characterized). The
+  /// registry prefetches them before building, so the group's engine
+  /// runs overlap instead of running one at a time as the builder asks.
+  std::vector<core::RunSpec> specs;
 };
 
 class FigureRegistry {
@@ -52,8 +57,10 @@ class FigureRegistry {
   /// Unique group ids in registration order — one per buildable report.
   std::vector<std::string> groups() const;
 
-  /// Builds the group's report (via its first member's builder) and
-  /// stamps the report id with the group id.
+  /// Prefetches the group's specs (Characterizer::prefetch, as wide as
+  /// the characterizer's exec_threads), builds the group's report via
+  /// its first member's builder and stamps the report id with the
+  /// group id.
   Report build(const std::string& group, Context& ctx) const;
 
  private:

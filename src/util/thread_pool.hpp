@@ -1,17 +1,21 @@
-// Fixed-size worker pool with a chunked work queue, used by the
-// MapReduce engine to execute task waves, by the characterizer to
-// prefetch traces and by the figure builders to fan out rack replays.
+// Worker pool with a chunked work queue, used by the MapReduce engine
+// to execute task waves, by the characterizer to run every engine run
+// and figure fan-out it drives, and by one-shot parallel loops.
 //
 // Design constraints (see DESIGN.md "Threading model"):
-//  * Workers never see partial work items: submit() enqueues whole
-//    closures; parallel_for() enqueues contiguous index chunks so a
-//    queue pop amortizes synchronization over several tasks.
-//  * Exceptions thrown by tasks are captured and rethrown from wait()
-//    — the one with the lowest submission index wins, so failure
-//    behaviour is deterministic regardless of worker interleaving.
-//  * The pool is reusable: wait() leaves the workers parked for the
-//    next batch (the engine runs the map wave and the reduce wave on
-//    one pool).
+//  * Workers never see partial work items: parallel_for() enqueues
+//    contiguous index chunks so a queue pop amortizes synchronization
+//    over several tasks.
+//  * Several threads may call parallel_for() at once. Each call waits
+//    only for its own chunks and rethrows only their failure — the one
+//    with the lowest index wins, so failure behaviour is deterministic
+//    regardless of worker interleaving. At most size() tasks run at
+//    once, however many calls are in flight.
+//  * A task that calls parallel_for() on the pool it runs on runs the
+//    loop inline: waiting for chunks that only its own (busy) workers
+//    could run would deadlock.
+//  * Workers start lazily, never more than the queued and running
+//    chunks need: a pool as wide as --threads costs nothing until used.
 #pragma once
 
 #include <condition_variable>
@@ -21,44 +25,39 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace bvl {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (resolved via resolve(), so 0 means one
-  /// per hardware thread). Throws bvl::Error when a worker cannot be
-  /// started, after joining the ones that were. Callers size a pool to
-  /// at most its task count: workers beyond it would only idle.
+  /// A pool of at most `threads` workers (resolved via resolve(), so 0
+  /// means one per hardware thread). No worker starts before the
+  /// first parallel_for().
   explicit ThreadPool(int threads);
 
-  /// Destruction with work still queued is safe: the workers drain
-  /// every remaining task (capturing, not rethrowing, any exception a
-  /// late task throws) and then join.
+  /// Stops and joins the workers. Callers must not be inside
+  /// parallel_for() on another thread.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int size() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues one task. Single producer: call from the owning thread
-  /// only, never from inside a task.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task finished; then rethrows the
-  /// captured exception of the earliest-submitted failing task, if
-  /// any, and resets the error state so the pool can be reused.
-  void wait();
+  /// The most tasks this pool runs at once.
+  int size() const { return width_; }
 
   /// Runs fn(i) for every i in [0, n), chunking the index space into
   /// contiguous ranges (several chunks per worker for load balancing)
-  /// and blocking until done. fn receives identical arguments
-  /// regardless of pool size, so any per-index output is
-  /// thread-count-invariant. Rethrows like wait().
+  /// and blocking until this call's chunks are done. fn receives
+  /// identical arguments regardless of pool size, so any per-index
+  /// output is thread-count-invariant. Rethrows the exception of the
+  /// lowest-index failing chunk, after every chunk finished. Throws
+  /// bvl::Error, running nothing, when a needed worker cannot start.
+  /// Safe to call from several threads at once.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+  /// True on one of this pool's worker threads.
+  bool on_worker() const;
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static int hardware_threads();
@@ -68,18 +67,31 @@ class ThreadPool {
   static int resolve(int requested);
 
  private:
-  void worker_loop();
-  void stop_and_join();
+  /// One parallel_for() call: its loop body, the chunks still queued
+  /// or running, and the failure of its lowest-index failing chunk.
+  struct Batch {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t pending = 0;
+    std::exception_ptr error;
+    std::size_t error_begin = 0;
+  };
+  struct Chunk {
+    Batch* batch;
+    std::size_t begin, end;
+  };
 
+  void worker_loop();
+  /// Starts workers until the queued and running chunks have one each
+  /// (at most width_). Call with mu_ held.
+  void grow(std::size_t chunks);
+
+  const int width_;
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers: queue non-empty or stopping
-  std::condition_variable done_cv_;  ///< wait(): all submitted work drained
-  std::deque<std::pair<std::size_t, std::function<void()>>> queue_;
-  std::size_t next_index_ = 0;  ///< submission order, for deterministic rethrow
-  std::size_t in_flight_ = 0;   ///< queued + currently running tasks
+  std::condition_variable done_cv_;  ///< parallel_for(): some batch drained
+  std::deque<Chunk> queue_;
+  std::size_t running_ = 0;  ///< chunks a worker is executing
   bool stop_ = false;
-  std::exception_ptr error_;
-  std::size_t error_index_ = 0;
   std::vector<std::thread> workers_;
 };
 

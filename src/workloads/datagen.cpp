@@ -1,7 +1,11 @@
 #include "workloads/datagen.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <mutex>
 #include <set>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -30,6 +34,24 @@ void append_number(std::string& out, std::uint64_t v) {
     v /= 10;
   } while (v != 0);
   while (n > 0) out += buf[--n];
+}
+
+std::shared_ptr<const Vocabulary> shared_vocabulary(std::size_t size, std::uint64_t seed) {
+  static std::mutex mu;
+  static std::map<std::pair<std::size_t, std::uint64_t>, std::shared_ptr<const Vocabulary>> built;
+  std::lock_guard<std::mutex> lock(mu);
+  auto& table = built[{size, seed}];
+  if (!table) table = std::make_shared<const Vocabulary>(size, seed);
+  return table;
+}
+
+std::shared_ptr<const ZipfSampler> shared_zipf(std::size_t n, double s) {
+  static std::mutex mu;
+  static std::map<std::pair<std::size_t, std::uint64_t>, std::shared_ptr<const ZipfSampler>> built;
+  std::lock_guard<std::mutex> lock(mu);
+  auto& table = built[{n, std::bit_cast<std::uint64_t>(s)}];
+  if (!table) table = std::make_shared<const ZipfSampler>(n, s);
+  return table;
 }
 }  // namespace
 
@@ -70,8 +92,8 @@ bool LineSource::next(mr::Record& rec) {
 TextSource::TextSource(Bytes target_bytes, std::uint64_t seed, std::size_t vocab, double zipf_s,
                        int words_per_line)
     : LineSource(target_bytes, seed),
-      vocab_(std::make_shared<Vocabulary>(vocab, /*seed=*/7)),
-      zipf_(vocab, zipf_s),
+      vocab_(shared_vocabulary(vocab, /*seed=*/7)),
+      zipf_(shared_zipf(vocab, zipf_s)),
       words_per_line_(words_per_line) {
   require(words_per_line_ > 0, "TextSource: zero words per line");
 }
@@ -79,7 +101,7 @@ TextSource::TextSource(Bytes target_bytes, std::uint64_t seed, std::size_t vocab
 void TextSource::make_line(Pcg32& rng, std::string& line) {
   for (int i = 0; i < words_per_line_; ++i) {
     if (i) line += ' ';
-    line += vocab_->word(zipf_.sample(rng));
+    line += vocab_->word(zipf_->sample(rng));
   }
 }
 
@@ -111,8 +133,8 @@ void TeraGenSource::make_line(Pcg32& rng, std::string& line) {
 LabeledDocSource::LabeledDocSource(Bytes target_bytes, std::uint64_t seed, int num_labels,
                                    std::size_t vocab, int words_per_doc)
     : LineSource(target_bytes, seed),
-      vocab_(std::make_shared<Vocabulary>(vocab, /*seed=*/7)),
-      zipf_(vocab, 1.05),
+      vocab_(shared_vocabulary(vocab, /*seed=*/7)),
+      zipf_(shared_zipf(vocab, 1.05)),
       num_labels_(num_labels),
       words_per_doc_(words_per_doc) {
   require(num_labels_ > 0, "LabeledDocSource: no labels");
@@ -128,7 +150,8 @@ void LabeledDocSource::make_line(Pcg32& rng, std::string& line) {
     if (i) line += ' ';
     // Shift the rank by a per-label offset so each class has its own
     // characteristic head words.
-    std::size_t rank = (zipf_.sample(rng) + static_cast<std::size_t>(label) * 37) % vocab_->size();
+    std::size_t rank =
+        (zipf_->sample(rng) + static_cast<std::size_t>(label) * 37) % vocab_->size();
     line += vocab_->word(rank);
   }
 }
@@ -136,23 +159,26 @@ void LabeledDocSource::make_line(Pcg32& rng, std::string& line) {
 TransactionSource::TransactionSource(Bytes target_bytes, std::uint64_t seed, std::size_t num_items,
                                      double zipf_s, int min_items, int max_items)
     : LineSource(target_bytes, seed),
-      zipf_(num_items, zipf_s),
+      zipf_(shared_zipf(num_items, zipf_s)),
       min_items_(min_items),
       max_items_(max_items) {
   require(min_items_ >= 1 && max_items_ >= min_items_, "TransactionSource: bad basket bounds");
+  basket_.reserve(static_cast<std::size_t>(max_items_));
 }
 
 void TransactionSource::make_line(Pcg32& rng, std::string& line) {
   int n = static_cast<int>(
       rng.uniform(static_cast<std::uint64_t>(min_items_), static_cast<std::uint64_t>(max_items_)));
-  std::set<std::size_t> basket;  // sorted ascending = descending support
+  basket_.clear();
   int attempts = 0;
-  while (static_cast<int>(basket.size()) < n && attempts < 4 * n) {
-    basket.insert(zipf_.sample(rng));
+  while (static_cast<int>(basket_.size()) < n && attempts < 4 * n) {
+    const std::size_t item = zipf_->sample(rng);
+    auto at = std::lower_bound(basket_.begin(), basket_.end(), item);
+    if (at == basket_.end() || *at != item) basket_.insert(at, item);
     ++attempts;
   }
   bool first = true;
-  for (std::size_t item : basket) {
+  for (std::size_t item : basket_) {
     if (!first) line += ' ';
     append_number(line, item);
     first = false;

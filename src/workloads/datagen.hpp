@@ -6,7 +6,9 @@
 // generator produces the same byte stream for the same (seed, split)
 // pair, so every experiment is exactly reproducible. Word frequencies
 // are Zipf-distributed — the property that makes WordCount's combiner
-// effective and keeps Grep's match rate low.
+// effective and keeps Grep's match rate low. The vocabulary and Zipf
+// tables depend only on their parameters, so each is built once per
+// parameter set and shared read-only by every split.
 #pragma once
 
 #include <memory>
@@ -68,7 +70,7 @@ class TextSource final : public LineSource {
 
  private:
   std::shared_ptr<const Vocabulary> vocab_;
-  ZipfSampler zipf_;
+  std::shared_ptr<const ZipfSampler> zipf_;
   int words_per_line_;
 };
 
@@ -108,14 +110,15 @@ class LabeledDocSource final : public LineSource {
 
  private:
   std::shared_ptr<const Vocabulary> vocab_;
-  ZipfSampler zipf_;
+  std::shared_ptr<const ZipfSampler> zipf_;
   int num_labels_;
   int words_per_doc_;
 };
 
 /// Market-basket transactions: space-separated item ids, each basket
 /// sorted by global frequency rank (ascending id = descending
-/// support), as FP-Growth expects.
+/// support), as FP-Growth expects. A basket is drawn into one sorted
+/// buffer of at most `max_items` ids, reused for every line.
 class TransactionSource final : public LineSource {
  public:
   TransactionSource(Bytes target_bytes, std::uint64_t seed, std::size_t num_items = 1000,
@@ -125,9 +128,10 @@ class TransactionSource final : public LineSource {
   void make_line(Pcg32& rng, std::string& line) override;
 
  private:
-  ZipfSampler zipf_;
+  std::shared_ptr<const ZipfSampler> zipf_;
   int min_items_;
   int max_items_;
+  std::vector<std::size_t> basket_;  ///< ascending = descending support
 };
 
 }  // namespace bvl::wl

@@ -67,7 +67,15 @@ class PfpReducer final : public mr::Reducer {
     std::uint64_t min_support = std::max<std::uint64_t>(
         2, static_cast<std::uint64_t>(values.size()) * static_cast<std::uint64_t>(per_mille_) /
                1000);
+    // Sized exactly up front (a prefix has at most one item per
+    // space-separated token), so growth never holds two copies, and
+    // freed once built: mining reads only the tree.
     PathBatch batch;
+    std::size_t tokens = 0;
+    for (const auto& v : values)
+      tokens += 1 + static_cast<std::size_t>(std::count(v.begin(), v.end(), ' '));
+    batch.items.reserve(tokens);
+    batch.spans.reserve(values.size());
     for (const auto& v : values) {
       const std::size_t begin = batch.items.size();
       append_transaction(v, batch.items);
@@ -75,6 +83,7 @@ class PfpReducer final : public mr::Reducer {
     }
     FpTree tree(min_support);
     std::uint64_t visits = tree.build(batch);
+    batch = PathBatch{};
     // Cap the mined output so pathological shards stay bounded, as
     // Mahout's topKStrings does.
     auto patterns = tree.mine(&visits, /*max_patterns=*/256);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <numeric>
 #include <utility>
 
 #include "util/error.hpp"
@@ -96,22 +95,32 @@ void FpTree::index_items() {
   // LSD radix sort of the nodes on their item, kBits a pass, up to the
   // highest set bit of any item. It groups every item's nodes and
   // lists the distinct items in ascending order without a map or a
-  // table sized by the largest item id.
+  // table sized by the largest item id. The first pass reads the nodes
+  // in pool order, so it needs no input list; only items of kBits or
+  // more take further passes through a scratch list.
   constexpr int kBits = 11;
   constexpr Item kMask = (Item{1} << kBits) - 1;
   const auto nodes = static_cast<std::uint32_t>(pool_.size() - 1);
-  by_item_.resize(nodes);
-  std::iota(by_item_.begin(), by_item_.end(), 1u);
   Item high = 0;
   for (std::uint32_t n = 1; n <= nodes; ++n) high |= pool_[n].item;
-  std::vector<std::uint32_t> sorted(nodes);
-  for (int shift = 0; shift < 32 && (shift == 0 || (high >> shift) != 0); shift += kBits) {
-    std::array<std::uint32_t, kMask + 1> start{};
-    for (std::uint32_t n : by_item_) ++start[(pool_[n].item >> shift) & kMask];
+  std::array<std::uint32_t, kMask + 1> start{};
+  auto exclusive_sum = [&start] {
     std::uint32_t sum = 0;
     for (std::uint32_t& s : start) sum += std::exchange(s, sum);
-    for (std::uint32_t n : by_item_) sorted[start[(pool_[n].item >> shift) & kMask]++] = n;
-    by_item_.swap(sorted);
+  };
+  by_item_.resize(nodes);
+  for (std::uint32_t n = 1; n <= nodes; ++n) ++start[pool_[n].item & kMask];
+  exclusive_sum();
+  for (std::uint32_t n = 1; n <= nodes; ++n) by_item_[start[pool_[n].item & kMask]++] = n;
+  if ((high >> kBits) != 0) {
+    std::vector<std::uint32_t> sorted(nodes);
+    for (int shift = kBits; shift < 32 && (high >> shift) != 0; shift += kBits) {
+      start.fill(0);
+      for (std::uint32_t n : by_item_) ++start[(pool_[n].item >> shift) & kMask];
+      exclusive_sum();
+      for (std::uint32_t n : by_item_) sorted[start[(pool_[n].item >> shift) & kMask]++] = n;
+      by_item_.swap(sorted);
+    }
   }
   header_.clear();
   for (std::uint32_t k = 0; k < nodes; ++k) {

@@ -2,17 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/classifier.hpp"
+#include "mapreduce/trace_io.hpp"
 #include "util/error.hpp"
 
 namespace bvl::core {
@@ -66,6 +69,57 @@ std::vector<CallOutcome> trace_concurrently(Characterizer& ch, const RunSpec& sp
   }
   for (std::thread& t : threads) t.join();
   return out;
+}
+
+/// Runs `body` on its own thread and aborts the test binary if it has
+/// not returned after two minutes: a deadlock fails fast instead of
+/// hanging until the runner's timeout.
+void run_bounded(const char* what, const std::function<void()>& body) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread t([&] {
+    body();
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::minutes(2), [&] { return done; })) {
+      std::fprintf(stderr, "%s still blocked after two minutes\n", what);
+      std::abort();
+    }
+  }
+  t.join();
+}
+
+/// Executed bytes per trace in the pool tests: small, so each engine
+/// run is quick, yet several map and reduce tasks wide.
+constexpr Bytes kSmallExec = 1 * MB;
+
+/// Four specs, one per micro-benchmark.
+std::vector<RunSpec> small_specs() {
+  std::vector<RunSpec> out;
+  for (auto id : wl::micro_benchmarks()) {
+    RunSpec s;
+    s.workload = id;
+    s.input_size = 64 * MB;
+    out.push_back(s);
+  }
+  return out;
+}
+
+/// The spec's trace as a bare engine at `width` produces it.
+mr::JobTrace bare_engine_trace(const RunSpec& spec, int width) {
+  mr::JobConfig cfg;
+  cfg.input_size = spec.input_size;
+  cfg.block_size = spec.block_size;
+  cfg.sim_scale = std::max(1.0, static_cast<double>(spec.input_size) / kSmallExec);
+  cfg.seed = 42;
+  cfg.exec_threads = width;
+  auto def = wl::make_workload(spec.workload);
+  return mr::Engine().run(*def, cfg);
 }
 
 TEST(Characterizer, TraceCachedAcrossOperatingPoints) {
@@ -200,6 +254,92 @@ TEST(Characterizer, PrefetchCharacterizesEachMissingSpecOnce) {
   EXPECT_EQ(ch.engine_runs(), 2);
   EXPECT_EQ(ch.trace(wc).workload, "WordCount");
   EXPECT_EQ(ch.engine_runs(), 2);
+}
+
+TEST(Characterizer, OverlappingPrefetchesShareOnePoolAndRunEachKeyOnce) {
+  // Two threads prefetch overlapping spec lists at width 4: up to four
+  // characterizations in flight, every engine wave on the one pool.
+  const std::vector<RunSpec> specs = small_specs();
+  Characterizer ch({}, {}, kSmallExec);
+  ch.set_exec_threads(4);
+  const std::vector<RunSpec> first{specs[0], specs[1], specs[2]};
+  const std::vector<RunSpec> second{specs[2], specs[3], specs[1], specs[0]};
+  run_bounded("overlapping prefetch", [&] {
+    std::thread other([&] { ch.prefetch(second, 4); });
+    ch.prefetch(first, 4);
+    other.join();
+  });
+  EXPECT_EQ(ch.engine_runs(), 4);
+  for (const RunSpec& spec : specs) {
+    SCOPED_TRACE(wl::short_name(spec.workload));
+    EXPECT_EQ(mr::to_text(ch.trace(spec)), mr::to_text(bare_engine_trace(spec, 4)));
+  }
+  EXPECT_EQ(ch.engine_runs(), 4);
+}
+
+TEST(Characterizer, PrefetchFailureReachesEveryCallerAndThePoolStaysUsable) {
+  // Reduce task 0 of the WordCount spec dies on its only attempt. Both
+  // prefetching threads ask for it among healthy specs: each gets the
+  // failure, and the healthy traces are stored all the same.
+  const std::vector<RunSpec> specs = small_specs();
+  RunSpec failing = specs[0];
+  failing.fault.max_attempts = 1;
+  failing.fault.events.push_back(
+      {mr::FaultKind::kFail, mr::TaskPhase::kReduce, 0, 0, 0.5, 4.0, 0});
+  Characterizer ch({}, {}, kSmallExec);
+  ch.set_exec_threads(4);
+  std::string first_saw, second_saw;
+  auto prefetch = [&ch](const std::vector<RunSpec>& list, std::string& saw) {
+    try {
+      ch.prefetch(list, 4);
+      saw = "none";
+    } catch (const Error&) {
+      saw = "bvl::Error";
+    } catch (...) {
+      saw = "other";
+    }
+  };
+  run_bounded("failing prefetch", [&] {
+    std::thread other([&] { prefetch({failing, specs[1]}, second_saw); });
+    prefetch({specs[2], failing, specs[3]}, first_saw);
+    other.join();
+  });
+  EXPECT_EQ(first_saw, "bvl::Error");
+  EXPECT_EQ(second_saw, "bvl::Error");
+  const int runs = ch.engine_runs();
+  for (int i : {1, 2, 3}) ch.trace(specs[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(ch.engine_runs(), runs);  // the healthy specs were stored
+  ch.prefetch({specs[0]}, 4);         // the pool still runs engines
+  EXPECT_EQ(mr::to_text(ch.trace(specs[0])), mr::to_text(bare_engine_trace(specs[0], 4)));
+}
+
+TEST(Characterizer, TraceFromAPoolTaskRunsInline) {
+  // Both workers of a 2-wide pool run a task that needs a missing
+  // trace. Had the engine queued its waves on that pool, no worker
+  // would be free to run them; it runs them on the calling worker
+  // instead. A prefetch from a pool task starts no driver either.
+  const std::vector<RunSpec> specs = small_specs();
+  Characterizer ch({}, {}, kSmallExec);
+  ch.set_exec_threads(2);
+  run_bounded("trace from a pool task", [&] {
+    ch.run_on_pool(2, [&](std::size_t i) { ch.trace(specs[i]); });
+    ch.run_on_pool(2, [&](std::size_t i) { ch.prefetch({specs[i + 2], specs[3 - i]}, 4); });
+  });
+  EXPECT_EQ(ch.engine_runs(), 4);
+  for (const RunSpec& spec : specs)
+    EXPECT_EQ(mr::to_text(ch.trace(spec)), mr::to_text(bare_engine_trace(spec, 2)));
+}
+
+TEST(Characterizer, BareEngineRunsOnAPoolOfItsOwn) {
+  // An engine constructed without a pool runs its waves on one of its
+  // own, and its trace is the characterizer's, which shares a pool.
+  const RunSpec spec = small_specs()[1];
+  const mr::JobTrace wide = bare_engine_trace(spec, 4);
+  EXPECT_EQ(wide.exec_threads_used, 4);
+  EXPECT_EQ(mr::to_text(wide), mr::to_text(bare_engine_trace(spec, 1)));
+  Characterizer ch({}, {}, kSmallExec);
+  ch.set_exec_threads(4);
+  EXPECT_EQ(mr::to_text(ch.trace(spec)), mr::to_text(wide));
 }
 
 TEST(Characterizer, RejectsTinyExecutionTarget) {

@@ -28,12 +28,6 @@ report::FigureRegistry& registry() {
   return *reg;
 }
 
-report::Context& shared_context() {
-  static core::Characterizer ch;
-  static report::Context ctx{ch, std::nullopt};
-  return ctx;
-}
-
 std::string read_golden(const std::string& group) {
   std::ifstream in(std::string(BVL_FIGURE_GOLDEN_DIR) + "/" + group + ".txt",
                    std::ios::binary);
@@ -65,14 +59,32 @@ TEST(FigureRegistry, EnumeratesAllTwentyThreeFigures) {
   EXPECT_EQ(registry().find("fig13")->group, "fig1213");
 }
 
+/// Cache files in `dir`.
+std::size_t count_files(const std::filesystem::path& dir) {
+  std::size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) n += e.is_regular_file() ? 1 : 0;
+  return n;
+}
+
 TEST(Figures, TextByteIdenticalToGoldenAndShapeChecksPass) {
   // BVL_UPDATE_GOLDEN=1 rewrites the committed fixtures instead of
   // comparing — same convention as the trace and pricing goldens. Only
   // for *intentional* model changes, never to silence a diff.
   const bool update = std::getenv("BVL_UPDATE_GOLDEN") != nullptr;
+  // A cold --all into an empty cache directory: each group's declared
+  // specs are prefetched first, so its builder runs no engine itself.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "all_trace_cache";
+  fs::remove_all(dir);
+  core::Characterizer ch;
+  ch.set_cache_dir(dir.string());
+  report::Context ctx{ch, std::nullopt};
   for (const auto& group : registry().groups()) {
     SCOPED_TRACE(group);
-    report::Report rep = registry().build(group, shared_context());
+    ch.prefetch(registry().find(group)->specs, ch.exec_threads());
+    const int runs = ch.engine_runs();
+    report::Report rep = registry().build(group, ctx);
+    EXPECT_EQ(ch.engine_runs(), runs) << "the builder read a trace its specs do not declare";
     EXPECT_EQ(rep.id, group);
     if (update) {
       std::ofstream out(std::string(BVL_FIGURE_GOLDEN_DIR) + "/" + group + ".txt",
@@ -88,6 +100,25 @@ TEST(Figures, TextByteIdenticalToGoldenAndShapeChecksPass) {
     for (const auto& c : rep.checks)
       EXPECT_TRUE(c.passed) << group << "/" << c.name << ": " << c.detail;
   }
+  // One engine run and one cache file per distinct trace.
+  EXPECT_EQ(ch.engine_runs(), 45);
+  EXPECT_EQ(count_files(dir), 45u);
+
+  // Above, a later group finds the traces of earlier ones in memory.
+  // Here each group starts from its own declared specs alone, read
+  // from the cache: with the disk detached, a trace the builder reads
+  // but does not declare would run the engine.
+  for (const auto& group : registry().groups()) {
+    SCOPED_TRACE(group);
+    core::Characterizer alone;
+    alone.set_cache_dir(dir.string());
+    alone.prefetch(registry().find(group)->specs, 1);
+    alone.set_cache_dir("");
+    report::Context own{alone, std::nullopt};
+    registry().build(group, own);
+    EXPECT_EQ(alone.engine_runs(), 0) << "the builder read a trace its specs do not declare";
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Figures, AblateReusesTheTraceCache) {
@@ -120,10 +151,11 @@ TEST(Figures, AblateReusesTheTraceCache) {
 }
 
 TEST(Figures, FannedOutGroupsAreWidthInvariant) {
-  // These groups fan their rack replays out over a pool as wide as
-  // --threads. Width 4 goes first, on an empty cache directory, so
-  // concurrent cells also share cold characterizations; width 1 then
-  // replays every cell inline from the disk cache.
+  // These groups fan their rack replays out over the characterizer's
+  // pool, as wide as --threads. Width 4 goes first, on an empty cache
+  // directory, so the registry's prefetch keeps two characterizations
+  // in flight on that pool; width 1 then replays every cell inline
+  // from the disk cache.
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "fan_out_trace_cache";
   fs::remove_all(dir);
@@ -141,9 +173,9 @@ TEST(Figures, FannedOutGroupsAreWidthInvariant) {
 }
 
 TEST(Figures, EveryTableYieldsLedgerRows) {
-  // Reuses the trace cache warmed by the golden test when run in one
-  // process; cheap either way for a single group.
-  report::Report rep = registry().build("fig09", shared_context());
+  core::Characterizer ch;
+  report::Context ctx{ch, std::nullopt};
+  report::Report rep = registry().build("fig09", ctx);
   auto rows = report::metrics_rows(rep);
   ASSERT_FALSE(rows.empty());
   EXPECT_EQ(rows[0].label, "fig09/edp_ratio/WC");

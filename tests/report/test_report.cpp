@@ -126,9 +126,14 @@ TEST(Checks, FailedCountAndRendering) {
 TEST(Registry, GroupSharingAndLookup) {
   FigureRegistry reg;
   auto build = [](Context&) { return Report{}; };
-  reg.add({"fig05", "fig0506", "five", "ref", "shape", build});
-  reg.add({"fig06", "fig0506", "six", "ref", "shape", build});
-  reg.add({"fig09", "", "nine", "ref", "shape", build});
+  reg.add({"fig05", "fig0506", "five", "ref", "shape", build, {}});
+  reg.add({"fig06", "fig0506", "six", "ref", "shape", build, {}});
+  // fig09 declares one trace its (trivial) builder never reads: build
+  // prefetches it all the same.
+  core::RunSpec declared;
+  declared.workload = wl::WorkloadId::kGrep;
+  declared.input_size = 64 * MB;
+  reg.add({"fig09", "", "nine", "ref", "shape", build, {declared}});
   EXPECT_EQ(reg.figures().size(), 3u);
   ASSERT_NE(reg.find("fig06"), nullptr);
   EXPECT_EQ(reg.find("fig06")->title, "six");
@@ -140,19 +145,23 @@ TEST(Registry, GroupSharingAndLookup) {
   EXPECT_EQ(groups[0], "fig0506");
   EXPECT_EQ(groups[1], "fig09");
 
-  core::Characterizer ch;
+  core::Characterizer ch({}, {}, 1 * MB);
   Context ctx{ch, std::nullopt};
   EXPECT_EQ(reg.build("fig06", ctx).id, "fig0506");
+  EXPECT_EQ(ch.engine_runs(), 0);
   EXPECT_EQ(reg.build("fig09", ctx).id, "fig09");
+  EXPECT_EQ(ch.engine_runs(), 1);
+  reg.build("fig09", ctx);
+  EXPECT_EQ(ch.engine_runs(), 1);
 }
 
 TEST(Registry, RejectsDuplicatesAndEmptyIds) {
   FigureRegistry reg;
   auto build = [](Context&) { return Report{}; };
-  reg.add({"fig01", "", "one", "ref", "shape", build});
-  EXPECT_THROW(reg.add({"fig01", "", "dup", "ref", "shape", build}), Error);
-  EXPECT_THROW(reg.add({"", "", "anon", "ref", "shape", build}), Error);
-  EXPECT_THROW(reg.add({"fig02", "", "nobuild", "ref", "shape", nullptr}), Error);
+  reg.add({"fig01", "", "one", "ref", "shape", build, {}});
+  EXPECT_THROW(reg.add({"fig01", "", "dup", "ref", "shape", build, {}}), Error);
+  EXPECT_THROW(reg.add({"", "", "anon", "ref", "shape", build, {}}), Error);
+  EXPECT_THROW(reg.add({"fig02", "", "nobuild", "ref", "shape", nullptr, {}}), Error);
 }
 
 }  // namespace
