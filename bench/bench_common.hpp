@@ -33,10 +33,10 @@ inline core::Characterizer& characterizer() {
 inline void print_shared_flag_help(const char* prog) {
   std::printf("usage: %s [options]\n", prog);
   std::printf("shared options:\n");
-  std::printf("  --threads N   width of every worker pool: each engine run,\n");
-  std::printf("                trace prefetch and the figures' rack-replay\n");
-  std::printf("                fan-out (0 = hardware concurrency, 1 = no\n");
-  std::printf("                pools; default 0). Printed tables are\n");
+  std::printf("  --threads N   width of the worker pool that engine runs and\n");
+  std::printf("                the figures' rack-replay fan-out share\n");
+  std::printf("                (0 = hardware concurrency, 1 = no pools;\n");
+  std::printf("                default 0). Printed tables are\n");
   std::printf("                bit-identical at any width.\n");
   std::printf("  --json PATH   write machine-readable results to PATH\n");
   std::printf("                (benches that keep a BENCH_*.json ledger)\n");
