@@ -43,7 +43,7 @@ JobCost PerfModel::extract(const mr::JobTrace& trace, int slots) const {
 }
 
 PhaseTerms PerfModel::phase_terms(const PhaseCost& pc, Hertz freq, int slots,
-                                  double net_bytes_per_s, SumOrder order) const {
+                                  double net_bytes_per_s) const {
   PhaseTerms t;
   t.ntasks = pc.ntasks();
   t.active = std::max(1, std::min({slots, std::max(1, t.ntasks), server_.cores}));
@@ -57,25 +57,10 @@ PhaseTerms PerfModel::phase_terms(const PhaseCost& pc, Hertz freq, int slots,
   for (const TaskCost& tc : pc.tasks) {
     seeks += tc.seeks;
     backoff += tc.backoff_s;
-    if (order == SumOrder::kTaskTotals) {
-      device_bytes += tc.total_device_bytes();
-      net_bytes += tc.total_net_bytes();
-      total_inst += tc.total_inst();
-      wasted_inst += tc.wasted_inst;
-      continue;
-    }
-    // The pre-split per-task loops, statement for statement (the
-    // separate += for codec instructions matches the original
-    // `if (compress)` +=), so every sum rounds identically.
     device_bytes += tc.device_bytes;
     net_bytes += tc.net_bytes;
     total_inst += tc.inst;
-    total_inst += tc.codec_inst;
-    if (tc.retried) {
-      device_bytes += tc.wasted_device_bytes;
-      net_bytes += tc.wasted_net_bytes;
-      wasted_inst += tc.wasted_inst;
-    }
+    wasted_inst += tc.wasted_inst;
   }
 
   // A wave lasts as long as its slowest task: the per-wave CPU
@@ -144,7 +129,7 @@ Watts PerfModel::dynamic_power(const PhaseTerms& t, Hertz freq, Seconds busy_s) 
 PhaseResult PerfModel::price_phase(const PhaseCost& pc, Hertz freq, int slots) const {
   PhaseResult r;
   if (pc.empty()) return r;
-  const PhaseTerms t = phase_terms(pc, freq, slots, line_rate_, SumOrder::kClosedForm);
+  const PhaseTerms t = phase_terms(pc, freq, slots, line_rate_);
   r.time = t.floor;
   r.cpu_time = t.cpu;
   r.io_time = t.io;

@@ -26,7 +26,8 @@
 //     shared disk;
 //   * retry backoff — waits add wall-clock but no dynamic energy (the
 //     paper's idle-subtracted methodology).
-// A fault-free trace prices bit-identically to the pre-fault model.
+// A fault-free trace pays none of the three: every time factor is 1,
+// and no task wastes work or waits.
 #pragma once
 
 #include <string>
@@ -86,15 +87,6 @@ struct RunResult {
 struct PhaseCost;  // perf/task_cost.hpp
 struct JobCost;
 
-/// How PerfModel::phase_terms sums a phase's per-task records. The two
-/// orders differ only in rounding, and a golden pins each: kClosedForm
-/// adds a task's committed work, codec instructions and retry residue
-/// one by one, as the pre-split model did (PRICES.golden); kTaskTotals
-/// adds each task's totals, as the event replay always has
-/// (JOB_SIM.golden, and the rack replays' MIX and BATCH_RACK goldens,
-/// whose TeraSort jobs compress their map output).
-enum class SumOrder { kClosedForm, kTaskTotals };
-
 /// The closed form's terms for one phase on one server at one
 /// operating point. The closed form charges them as they are;
 /// EventPricer splits them into per-task demands and floors its replay
@@ -126,8 +118,8 @@ class PerfModel {
   JobCost extract(const mr::JobTrace& trace, int slots) const;
 
   /// The terms of phase `pc`, its network term at `net_bytes_per_s`.
-  PhaseTerms phase_terms(const PhaseCost& pc, Hertz freq, int slots, double net_bytes_per_s,
-                         SumOrder order) const;
+  /// The phase's volumes are sums of each task's totals, in task order.
+  PhaseTerms phase_terms(const PhaseCost& pc, Hertz freq, int slots, double net_bytes_per_s) const;
 
   /// The closed-form phase on the paper's 1GbE NIC: its floor, plus
   /// the retry backoff amortized over the active slots.

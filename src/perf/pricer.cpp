@@ -26,7 +26,7 @@ std::vector<SimTask> EventPricer::task_demands(const PhaseCost& pc, const PhaseT
   std::vector<double> disk_weight(pc.tasks.size(), 0.0);
   for (std::size_t i = 0; i < pc.tasks.size(); ++i) {
     const TaskCost& tc = pc.tasks[i];
-    disk_weight[i] = model_.storage().transfer_time(static_cast<Bytes>(tc.total_device_bytes()),
+    disk_weight[i] = model_.storage().transfer_time(static_cast<Bytes>(tc.device_bytes),
                                                     static_cast<std::uint64_t>(tc.seeks));
     disk_weight_sum += disk_weight[i];
   }
@@ -41,7 +41,7 @@ std::vector<SimTask> EventPricer::task_demands(const PhaseCost& pc, const PhaseT
     // volumes and wave shape.
     s.cpu_s = t.task_s * tc.time_factor + t.launch_s + t.active * model_.cluster().master_per_task_s;
     s.disk_svc_s = disk_weight_sum > 0 ? t.io * (disk_weight[i] / disk_weight_sum) : 0.0;
-    s.net_bytes = tc.total_net_bytes();
+    s.net_bytes = tc.net_bytes;
     s.nic_svc_s = s.net_bytes / nic_rate_;
     // The non-overlappable tail of this task's own compute/IO/net —
     // the per-task analogue of the closed form's overlap penalty.
@@ -95,9 +95,8 @@ JobSim EventPricer::job_sim(const mr::JobTrace& trace, Hertz freq, int slots) co
   if (slots <= 0) slots = model_.server().cores;
 
   JobCost jc = model_.extract(trace, slots);
-  const PhaseTerms mt = model_.phase_terms(jc.map, freq, slots, nic_rate_, SumOrder::kTaskTotals);
-  const PhaseTerms rt =
-      model_.phase_terms(jc.reduce, freq, slots, nic_rate_, SumOrder::kTaskTotals);
+  const PhaseTerms mt = model_.phase_terms(jc.map, freq, slots, nic_rate_);
+  const PhaseTerms rt = model_.phase_terms(jc.reduce, freq, slots, nic_rate_);
   JobSim js;
   js.map_tasks = task_demands(jc.map, mt);
   js.reduce_tasks = task_demands(jc.reduce, rt);

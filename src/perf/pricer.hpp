@@ -1,9 +1,9 @@
 // The pricer split: one extraction (perf/task_cost), one closed form
 // (perf/perf_model), two ways to charge it.
 //
-//   PerfModel — the paper-calibrated closed form, retained
-//   bit-identical: every golden, EXPERIMENTS table, and scheduler
-//   decision made against it stays valid.
+//   PerfModel — the paper-calibrated closed form behind every figure,
+//   EXPERIMENTS table and scheduler decision; PRICES.golden pins it
+//   bit for bit.
 //
 //   EventPricer — replays the same per-task records on the sim kernel
 //   (sim/event_queue, sim/resource): tasks queue on a slot pool, their

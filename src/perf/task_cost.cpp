@@ -78,7 +78,7 @@ JobCost extract_job_cost(const mr::JobTrace& trace, const arch::ServerConfig& se
       tc.device_bytes = device;
       tc.seeks = c.disk_seeks;
       tc.inst = instructions_for(c, cal.map_costs, storage, device);
-      if (compress) tc.codec_inst = kCodecInstPerByte * (c.spill_bytes + c.merge_read_bytes);
+      if (compress) tc.inst += kCodecInstPerByte * (c.spill_bytes + c.merge_read_bytes);
 
       // Fault recovery: stragglers stretch their wave, failed/killed
       // attempts burn instructions and disk volume, retries wait out
@@ -89,8 +89,7 @@ JobCost extract_job_cost(const mr::JobTrace& trace, const arch::ServerConfig& se
         double wdev = (t.wasted.spill_bytes + t.wasted.merge_read_bytes) * cf +
                       (map_only ? t.wasted.disk_write_bytes : t.wasted.disk_write_bytes * cf) +
                       t.wasted.disk_read_bytes * read_miss;
-        tc.retried = true;
-        tc.wasted_device_bytes = wdev;
+        tc.device_bytes += wdev;
         tc.wasted_inst = instructions_for(t.wasted, cal.map_costs, storage, wdev);
       }
       // Resident map state = one post-combine spill run (the live
@@ -133,7 +132,7 @@ JobCost extract_job_cost(const mr::JobTrace& trace, const arch::ServerConfig& se
       tc.net_bytes = c.shuffle_bytes * cf * (static_cast<double>(cluster.nodes - 1) /
                                              static_cast<double>(cluster.nodes));
       tc.inst = instructions_for(c, cal.reduce_costs, storage, device);
-      if (compress) tc.codec_inst = kCodecInstPerByte * c.shuffle_bytes;
+      if (compress) tc.inst += kCodecInstPerByte * c.shuffle_bytes;
 
       tc.time_factor = t.time_factor;
       tc.backoff_s = t.backoff_s;
@@ -142,11 +141,10 @@ JobCost extract_job_cost(const mr::JobTrace& trace, const arch::ServerConfig& se
         // volume crosses the NIC again.
         double wdev = t.wasted.merge_read_bytes * cf + t.wasted.disk_write_bytes +
                       t.wasted.disk_read_bytes * read_miss;
-        tc.retried = true;
-        tc.wasted_device_bytes = wdev;
-        tc.wasted_net_bytes = t.wasted.shuffle_bytes * cf *
-                              (static_cast<double>(cluster.nodes - 1) /
-                               static_cast<double>(cluster.nodes));
+        tc.device_bytes += wdev;
+        tc.net_bytes += t.wasted.shuffle_bytes * cf *
+                        (static_cast<double>(cluster.nodes - 1) /
+                         static_cast<double>(cluster.nodes));
         tc.wasted_inst = instructions_for(t.wasted, cal.reduce_costs, storage, wdev);
       }
       double resident = 0.5 * c.shuffle_bytes + 0.3 * c.output_bytes;

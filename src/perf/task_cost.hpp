@@ -1,10 +1,9 @@
 // Per-task cost extraction: the machine-dependent work of each task in
 // a JobTrace (instructions, shared-disk bytes, shuffle bytes), computed
-// once per priced job. PerfModel aggregates these records back into
-// the closed form's phase terms with the exact expressions and
-// accumulation order of the pre-split model — bit-identical output —
-// and EventPricer splits the same records and terms into per-task
-// service demands and replays them on the sim kernel.
+// once per priced job. PerfModel sums these records into the closed
+// form's phase terms, each task's totals in task order, and
+// EventPricer splits the same records and terms into per-task service
+// demands and replays them on the sim kernel.
 #pragma once
 
 #include <vector>
@@ -13,25 +12,17 @@
 
 namespace bvl::perf {
 
-/// Machine-dependent cost of one committed task attempt, plus the
+/// Machine-dependent cost of one task: its committed attempt plus the
 /// fault-recovery residue of its failed attempts.
 struct TaskCost {
-  double inst = 0;           ///< committed-attempt instructions (excl. codec)
-  double codec_inst = 0;     ///< map-output compression CPU (0 when off)
-  double device_bytes = 0;   ///< committed bytes hitting the shared disk
+  double inst = 0;           ///< committed-attempt instructions, codec included
+  double device_bytes = 0;   ///< bytes hitting the shared disk, failed attempts' included
   double seeks = 0;
-  double net_bytes = 0;      ///< shuffle bytes crossing the NIC
+  double net_bytes = 0;      ///< shuffle bytes crossing the NIC, failed attempts' included
   double time_factor = 1.0;  ///< fault completion-time multiplier
   Seconds backoff_s = 0;     ///< retry backoff wait (wall-clock, no energy)
-  bool retried = false;      ///< attempts > 1: wasted_* fields are live
-  double wasted_device_bytes = 0;
-  double wasted_net_bytes = 0;
-  double wasted_inst = 0;
+  double wasted_inst = 0;    ///< failed/killed attempts' instructions (DRAM traffic only)
   double ws_contrib = 0;     ///< capped per-task working-set estimate
-
-  double total_inst() const { return inst + codec_inst; }
-  double total_device_bytes() const { return device_bytes + wasted_device_bytes; }
-  double total_net_bytes() const { return net_bytes + wasted_net_bytes; }
 };
 
 /// One phase's extracted cost: per-task records plus the signature and

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "mapreduce/engine.hpp"
 #include "perf/calibration.hpp"
@@ -237,25 +236,25 @@ TEST(PhaseTerms, ActiveSlotsAreBoundedBySlotsTasksAndCores) {
   PerfModel atom(arch::atom_c2758());  // 8 cores
   const double net = 117e6;
   PhaseCost four = uniform_phase(4, 1e9);
-  EXPECT_EQ(atom.phase_terms(four, 1.8 * GHz, 2, net, SumOrder::kClosedForm).active, 2);
-  EXPECT_EQ(atom.phase_terms(four, 1.8 * GHz, 64, net, SumOrder::kClosedForm).active, 4);
+  EXPECT_EQ(atom.phase_terms(four, 1.8 * GHz, 2, net).active, 2);
+  EXPECT_EQ(atom.phase_terms(four, 1.8 * GHz, 64, net).active, 4);
   PhaseCost many = uniform_phase(20, 1e9);
-  EXPECT_EQ(atom.phase_terms(many, 1.8 * GHz, 64, net, SumOrder::kClosedForm).active, 8);
+  EXPECT_EQ(atom.phase_terms(many, 1.8 * GHz, 64, net).active, 8);
   // A task-less phase still occupies one slot.
   PhaseCost setup;
   setup.fixed_s = 2.0;
-  EXPECT_EQ(atom.phase_terms(setup, 1.8 * GHz, 8, net, SumOrder::kClosedForm).active, 1);
+  EXPECT_EQ(atom.phase_terms(setup, 1.8 * GHz, 8, net).active, 1);
 }
 
 TEST(PhaseTerms, EachWaveLastsAsLongAsItsSlowestTask) {
   PerfModel xeon(arch::xeon_e5_2420());
   const double net = 117e6;
   auto cpu_of = [&](const PhaseCost& pc) {
-    return xeon.phase_terms(pc, 1.8 * GHz, 2, net, SumOrder::kClosedForm).cpu;
+    return xeon.phase_terms(pc, 1.8 * GHz, 2, net).cpu;
   };
   // Four tasks on two slots: waves {0, 1} and {2, 3}.
   PhaseCost pc = uniform_phase(4, 1e9);
-  const PhaseTerms base = xeon.phase_terms(pc, 1.8 * GHz, 2, net, SumOrder::kClosedForm);
+  const PhaseTerms base = xeon.phase_terms(pc, 1.8 * GHz, 2, net);
   ASSERT_GT(base.task_s, 0);
 
   PhaseCost one_slow = pc;
@@ -271,25 +270,6 @@ TEST(PhaseTerms, EachWaveLastsAsLongAsItsSlowestTask) {
   PhaseCost both_waves = one_slow;
   both_waves.tasks[3].time_factor = 3.0;
   EXPECT_NEAR(cpu_of(both_waves) - base.cpu, 4.0 * base.task_s, 1e-9 * base.cpu);
-}
-
-TEST(PhaseTerms, SumOrdersDifferOnlyInRounding) {
-  // TeraSort compresses its map output, so its map tasks carry codec
-  // instructions: the closed form adds them one by one, the task
-  // totals add them with the rest of each task.
-  PerfModel atom(arch::atom_c2758());
-  JobCost jc = atom.extract(trace_for(wl::WorkloadId::kTeraSort), 4);
-  for (const PhaseCost* pc : {&jc.map, &jc.reduce, &jc.other}) {
-    PhaseTerms a = atom.phase_terms(*pc, 1.4 * GHz, 4, 117e6, SumOrder::kClosedForm);
-    PhaseTerms b = atom.phase_terms(*pc, 1.4 * GHz, 4, 117e6, SumOrder::kTaskTotals);
-    EXPECT_EQ(a.ntasks, b.ntasks);
-    EXPECT_EQ(a.active, b.active);
-    for (auto [x, y] : {std::pair{a.cpu, b.cpu}, std::pair{a.io, b.io},
-                        std::pair{a.net, b.net}, std::pair{a.floor, b.floor},
-                        std::pair{a.dram_bytes, b.dram_bytes}}) {
-      EXPECT_NEAR(x, y, 1e-12 * std::max(1.0, std::abs(x)));
-    }
-  }
 }
 
 TEST(PerfModel, RetryBackoffAddsTimeButNoEnergy) {
