@@ -149,14 +149,25 @@ int main(int argc, char** argv) {
     }
   }
   if (groups.empty()) {
-    print_help(argv[0]);
+    std::fprintf(stderr,
+                 "%s: no figure selected\n"
+                 "usage: %s [--list] [--run ID]... [--all] [--check] [--json DIR] [--csv DIR]\n"
+                 "       [--policy P] [--threads N] [--cache-dir D] (try --help)\n",
+                 argv[0], argv[0]);
     return 2;
   }
 
+  // Each output directory must exist before any figure is built: a path
+  // that cannot be one fails here, not after the cold pass.
   for (const std::string* dir : {&json_dir, &csv_dir}) {
     if (dir->empty()) continue;
     std::error_code ec;
-    std::filesystem::create_directories(*dir, ec);  // open below reports failure
+    std::filesystem::create_directories(*dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "%s: cannot create directory '%s': %s\n", argv[0], dir->c_str(),
+                   ec.message().c_str());
+      return 2;
+    }
   }
 
   core::Characterizer& ch = bench::characterizer();
