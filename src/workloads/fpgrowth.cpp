@@ -68,8 +68,9 @@ class PfpReducer final : public mr::Reducer {
         2, static_cast<std::uint64_t>(values.size()) * static_cast<std::uint64_t>(per_mille_) /
                1000);
     // Sized exactly up front (a prefix has at most one item per
-    // space-separated token), so growth never holds two copies, and
-    // freed once built: mining reads only the tree.
+    // space-separated token), so growth never holds two copies. Mining
+    // reads level one straight from it, so it lives until mining ends;
+    // no FP-tree of the whole shard is built.
     PathBatch batch;
     std::size_t tokens = 0;
     for (const auto& v : values)
@@ -81,12 +82,10 @@ class PfpReducer final : public mr::Reducer {
       append_transaction(v, batch.items);
       batch.end_path(begin);
     }
-    FpTree tree(min_support);
-    std::uint64_t visits = tree.build(batch);
-    batch = PathBatch{};
     // Cap the mined output so pathological shards stay bounded, as
     // Mahout's topKStrings does.
-    auto patterns = tree.mine(&visits, /*max_patterns=*/256);
+    std::uint64_t visits = 0;
+    auto patterns = mine_patterns(batch, min_support, &visits, /*max_patterns=*/256);
     c.compute_units += static_cast<double>(visits);
     std::sort(patterns.begin(), patterns.end(),
               [](const Pattern& a, const Pattern& b) { return a.support > b.support; });

@@ -1,7 +1,7 @@
 // Parallel FP-Growth (Mahout-PFP style) on the MapReduce engine: map
 // shards each transaction to item groups (emitting the basket prefix
-// relevant to each group); each reducer builds a real FP-tree over its
-// shard and mines frequent patterns. By far the most compute-heavy
+// relevant to each group); each reducer mines its shard's frequent
+// patterns with real FP-Growth (fptree.hpp). By far the most compute-heavy
 // workload, matching the paper where FP dominates every execution-time
 // plot.
 #pragma once

@@ -3,26 +3,43 @@
 // fully tested implementation: the MapReduce wrapper (fpgrowth.hpp)
 // shards transactions Mahout-PFP-style and runs this miner per shard.
 //
-// A tree is built in one bulk pass over a PathBatch — every path's
-// items in one flat buffer plus {begin, end, count} spans — by a
-// multikey quicksort of the spans: three-way partitioning on the item
-// at each depth gathers the spans that share a prefix, and each such
-// run is one node whose count is the run's summed count. No child
-// lookup structure exists; nodes live in one arena vector addressed by
-// 32-bit indices, and a radix sort of the nodes by item builds the
-// header: one entry per distinct item, so nothing is sized by the
-// largest item id. The reducer's shard tree and every conditional
-// tree mined from it go through this one builder.
+// mine_patterns() mines a PathBatch — every path's items in one flat
+// buffer plus {begin, end, count} spans — without building its
+// FP-tree. Level one, the batch's own frequent items, needs only each
+// item's support, summed in a table sized by the distinct items (never
+// by the largest id), and, for each item it mines, the prefix before
+// that item in every path holding it. Those prefixes come from one
+// bucket of paths per item, keyed by each path's last unread item:
+// items are mined highest id first, so a path reaches an item's bucket
+// exactly when the item is its last, and moves on to the next bucket
+// with that item dropped. Mining stops at the pattern cap, and no
+// bucket below the last item mined is ever walked.
+//
+// Every conditional pattern base is built into an FpTree in one bulk
+// pass by a multikey quicksort of its spans: three-way partitioning on
+// the item at each depth gathers the spans that share a prefix, and
+// each such run is one node whose count is the run's summed count. No
+// child lookup structure exists; nodes live in one arena vector
+// addressed by 32-bit indices, and a radix sort of the nodes by item
+// builds the header: one entry per distinct item, so nothing is sized
+// by the largest item id. Deeper levels read their bases from the
+// conditional trees, one prefix path per node.
 //
 // The FP-tree of a multiset of sorted paths is unique (a trie whose
 // node counts are sums), so node count, node counts and header
-// supports do not depend on the order of the paths. The logical work
-// metric the perf model charges is order-free too: build() returns one
-// visit per path item, shared prefix or not, and mine() adds one visit
-// per prefix-path step. Mining walks the distinct items in descending
-// order, and a conditional tree depends only on the multiset of its
-// base paths, so the mined pattern sequence is fixed by the input
-// multiset as well.
+// supports do not depend on the order of the paths, and the
+// conditional tree built from level one's prefixes, counted with
+// multiplicity, is the trie the batch's own FP-tree would give for
+// that item. The logical work metric the perf model charges is
+// order-free too: one visit per batch path item, and for each mined
+// item twice the summed depth of the nodes of its conditional tree
+// where a base path ends, which is what reading each distinct base path
+// up the parent tree and inserting it costs. At level one that equals
+// twice the summed depth of the item's nodes in the batch's FP-tree,
+// so the charge does not depend on whether that tree is built. Mining
+// walks the distinct items in descending order, and a conditional tree
+// depends only on the multiset of its base paths, so the mined pattern
+// sequence is fixed by the input multiset as well.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +56,9 @@ struct Pattern {
   std::uint64_t support = 0;
 };
 
-/// Transactions for FpTree::build: the items of every path sit in one
-/// flat buffer, and each span names one path's [begin, end) slice of
-/// it and how many times the path occurs.
+/// Paths to mine: the items of every path sit in one flat buffer, and
+/// each span names one path's [begin, end) slice of it and how many
+/// times the path occurs.
 struct PathBatch {
   struct Span {
     std::uint32_t begin = 0;
@@ -61,6 +78,18 @@ struct PathBatch {
   }
 };
 
+/// Mines every frequent pattern of the paths in `batch` (FP-Growth,
+/// level one straight from the batch, conditional FP-trees below it),
+/// least frequent item first, each pattern's items ascending. Each path
+/// must be strictly ascending; a span out of range or a path that is
+/// not throws Error. Empties `batch.spans` and only reads `batch.items`.
+/// `visits` accumulates the logical node visits the perf model
+/// charges. `max_patterns` bounds the output (0 = unbounded).
+std::vector<Pattern> mine_patterns(PathBatch& batch, std::uint64_t min_support,
+                                   std::uint64_t* visits = nullptr, std::size_t max_patterns = 0);
+
+/// One conditional FP-tree: the trie of a pattern base's paths, node
+/// counts summed over the paths through each node.
 class FpTree {
  public:
   /// `min_support`: absolute occurrence threshold for mining.
@@ -68,21 +97,19 @@ class FpTree {
 
   /// Replaces the tree with the one holding every path of `batch`.
   /// Each path must be strictly ascending; a span out of range or a
-  /// path that is not throws Error. Reorders and filters
-  /// `batch.spans`. Returns the tree nodes visited/created — one per
-  /// path item, the compute-unit metric the perf model charges.
+  /// path that is not throws Error and leaves the tree unspecified.
+  /// Reorders and filters `batch.spans`. Returns the visits mining
+  /// charges for the tree: twice the summed depth of the nodes where a
+  /// path ends, i.e. one visit per step up the parent tree to read each
+  /// distinct base path and one per item of it inserted here.
   std::uint64_t build(PathBatch& batch);
 
-  /// Mines all frequent patterns (recursive conditional-tree
-  /// FP-Growth). `visits` accumulates node visits. `max_patterns`
-  /// bounds output (0 = unbounded).
-  std::vector<Pattern> mine(std::uint64_t* visits = nullptr,
-                            std::size_t max_patterns = 0) const;
-
   std::size_t node_count() const { return pool_.size(); }
-  std::uint64_t min_support() const { return min_support_; }
 
  private:
+  friend std::vector<Pattern> mine_patterns(PathBatch&, std::uint64_t, std::uint64_t*,
+                                            std::size_t);
+
   static constexpr std::uint32_t kNil = 0xffffffffu;
   static constexpr std::uint32_t kRoot = 0;
 
@@ -105,6 +132,8 @@ class FpTree {
   };
 
   void index_items();
+  /// Mines this tree as the conditional tree of `suffix`, appending to
+  /// `out` until it holds `max_patterns` (0 = unbounded).
   void mine_rec(std::vector<Item>& suffix, std::vector<Pattern>& out, std::uint64_t& visits,
                 std::size_t max_patterns) const;
 
