@@ -28,18 +28,27 @@ inline core::Characterizer& characterizer() {
   return ch;
 }
 
-/// Prints the flags every bench accepts (benches may add their own on
-/// top — see each binary's header comment).
-inline void print_shared_flag_help(const char* prog) {
+/// One of a binary's own flags, which init() leaves to the binary. A
+/// `valued` flag's bare form `--flag VALUE` also owns the next argument.
+/// `help` is the flag's --help entry: whole lines, each ending in '\n'.
+struct OwnFlag {
+  std::string_view name;
+  bool valued = false;
+  std::string_view help;
+};
+
+/// Prints the usage line, the binary's own flags (`own`) and then the
+/// flags init() parses, which every bench accepts.
+inline void print_help(const char* prog, std::initializer_list<OwnFlag> own) {
   std::printf("usage: %s [options]\n", prog);
+  if (own.size() != 0) std::printf("options:\n");
+  for (const OwnFlag& f : own) std::fwrite(f.help.data(), 1, f.help.size(), stdout);
   std::printf("shared options:\n");
   std::printf("  --threads N   width of the worker pool that engine runs and\n");
   std::printf("                the figures' rack-replay fan-out share\n");
   std::printf("                (0 = hardware concurrency, 1 = no pools;\n");
   std::printf("                default 0). Printed tables are\n");
   std::printf("                bit-identical at any width.\n");
-  std::printf("  --json PATH   write machine-readable results to PATH\n");
-  std::printf("                (benches that keep a BENCH_*.json ledger)\n");
   std::printf("  --cache-dir D persist characterized traces under D and\n");
   std::printf("                reuse them across runs/processes (created\n");
   std::printf("                if absent; results are bit-identical with\n");
@@ -55,18 +64,11 @@ inline void print_shared_flag_help(const char* prog) {
   std::exit(2);
 }
 
-/// One of a binary's own flags, which init() leaves to the binary. A
-/// `valued` flag's bare form `--flag VALUE` also owns the next argument.
-struct OwnFlag {
-  std::string_view name;
-  bool valued = false;
-};
-
 /// Parses the flags shared by every bench and applies them to the
 /// shared characterizer:
 ///   --threads N | --threads=N       width of every worker pool
 ///   --cache-dir D | --cache-dir=D   persistent trace cache directory
-///   --help                          print the shared flags and exit
+///   --help                          print the usage and every flag, exit 0
 /// `own` lists the binary's own flags (e.g. --json), which it parses
 /// itself. Malformed --threads values are rejected with an error (exit
 /// 2) instead of atoi's silent 0; so is a valueless --cache-dir, and so
@@ -105,7 +107,7 @@ inline void init(int argc, char** argv, std::initializer_list<OwnFlag> own = {})
   for (int i = 1; i < argc; ++i) {
     std::string_view a = argv[i];
     if (a == "--help" || a == "-h") {
-      print_shared_flag_help(argv[0]);
+      print_help(argv[0], own);
       std::exit(0);
     }
     if (FlagMatch m = match_flag(a, "--threads", nullptr); m != FlagMatch::kNoMatch) {
@@ -158,6 +160,11 @@ struct BenchJsonEntry {
   double ns_per_op = 0;
   double records_per_s = 0;
 };
+
+/// The `--json PATH` flag parse_json_flag() reads, as init() takes it
+/// among a binary's own flags.
+inline constexpr OwnFlag kJsonFlag = {"--json", true,
+                                      "  --json PATH   write machine-readable results to PATH\n"};
 
 /// Parses a `--json PATH` / `--json=PATH` flag out of argv via the
 /// same match_flag convention as --threads/--cache-dir in init();

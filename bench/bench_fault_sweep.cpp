@@ -56,7 +56,7 @@ double wasted_pct(const mr::JobTrace& t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init(argc, argv, {{"--json", true}});
+  bench::init(argc, argv, {bench::kJsonFlag});
   std::string json_path = bench::parse_json_flag(argc, argv);
   std::vector<bench::MetricsJsonRow> json_rows;
   bench::print_header(

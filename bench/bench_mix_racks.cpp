@@ -31,7 +31,7 @@ double idle_watts(const std::vector<core::NodeSpec>& rack) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init(argc, argv, {{"--json", true}});
+  bench::init(argc, argv, {bench::kJsonFlag});
   std::string json_path = bench::parse_json_flag(argc, argv);
   bench::print_header("Mix-on-rack study - homogeneous vs heterogeneous racks",
                       "extension of Sec. 3.5 (cloud-provider view)",

@@ -5,8 +5,8 @@
 // share the characterizer's trace cache, so `--all` is far cheaper
 // than the historical one-binary-per-figure layout.
 //
-// usage: bvl_repro [--list] [--run ID]... [--all] [--check]
-//                  [--json DIR] [--csv DIR] [--policy P] [--threads N]
+// usage: bvl_repro [--list] [--run ID]... [--all] [--check] [--json DIR]
+//                  [--csv DIR] [--policy P] [--threads N] [--cache-dir D]
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -23,25 +23,28 @@ using namespace bvl;
 
 namespace {
 
-void print_help(const char* prog) {
-  std::printf("usage: %s [options]\n", prog);
-  std::printf("options:\n");
-  std::printf("  --list        list every registered figure id and exit\n");
-  std::printf("  --run ID      build and print one figure (repeatable);\n");
-  std::printf("                paired ids (e.g. fig05/fig06) print their\n");
-  std::printf("                shared report\n");
-  std::printf("  --all         build and print every figure\n");
-  std::printf("  --check       append each figure's shape-assertion results\n");
-  std::printf("                and fail if any assertion fails\n");
-  std::printf("  --json DIR    also write DIR/BENCH_figures.json (ledger\n");
-  std::printf("                rows for every table of the selected figures)\n");
-  std::printf("  --csv DIR     also write one DIR/<group>_<table>.csv per\n");
-  std::printf("                table of the selected figures\n");
-  std::printf("  --policy P    override the placement policy of fabric-aware\n");
-  std::printf("                figures (class-aware, earliest-finish,\n");
-  std::printf("                round-robin, rack-local)\n");
-  bench::print_shared_flag_help(prog);
-}
+/// The flags this binary parses itself: bench::init steps over them,
+/// and --help lists them before the shared ones.
+const std::initializer_list<bench::OwnFlag> kOwnFlags = {
+    {"--list", false, "  --list        list every registered figure id and exit\n"},
+    {"--run", true,
+     "  --run ID      build and print one figure (repeatable);\n"
+     "                paired ids (e.g. fig05/fig06) print their\n"
+     "                shared report\n"},
+    {"--all", false, "  --all         build and print every figure\n"},
+    {"--check", false,
+     "  --check       append each figure's shape-assertion results\n"
+     "                and fail if any assertion fails\n"},
+    {"--json", true,
+     "  --json DIR    also write DIR/BENCH_figures.json (ledger\n"
+     "                rows for every table of the selected figures)\n"},
+    {"--csv", true,
+     "  --csv DIR     also write one DIR/<group>_<table>.csv per\n"
+     "                table of the selected figures\n"},
+    {"--policy", true,
+     "  --policy P    override the placement policy of fabric-aware\n"
+     "                figures (class-aware, earliest-finish,\n"
+     "                round-robin, rack-local)\n"}};
 
 }  // namespace
 
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
   }
   if (bad_args) return 2;
   if (help) {
-    print_help(argv[0]);
+    bench::print_help(argv[0], kOwnFlags);
     return 0;
   }
   std::optional<core::MixPolicy> policy_override;
@@ -119,9 +122,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  bench::init(argc, argv,
-              {{"--list"}, {"--all"}, {"--check"}, {"--run", true}, {"--json", true},
-               {"--csv", true}, {"--policy", true}});  // strict --threads handling
+  bench::init(argc, argv, kOwnFlags);  // strict --threads handling
 
   if (list) {
     for (const auto& def : registry.figures()) {
