@@ -21,7 +21,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -202,9 +201,9 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 
 int main(int argc, char** argv) {
   // Strip --threads and --json before google-benchmark sees the arg
-  // list (it rejects flags it does not know). A malformed --threads
-  // exits 2, as in every other bench.
-  std::string json_path;
+  // list (it rejects flags it does not know). A malformed --threads or
+  // an empty or missing --json value exits 2, as in every other bench.
+  const std::string json_path = bench::parse_json_flag(argc, argv);
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     std::string_view value;
@@ -215,10 +214,8 @@ int main(int argc, char** argv) {
         bench::reject_flag(argv[0], "--threads", "a non-negative integer", std::string(value));
       }
       g_threads = *parsed;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
+    } else if (FlagMatch j = match_flag(argv[i], "--json", &value); j != FlagMatch::kNoMatch) {
+      if (j == FlagMatch::kNeedsValue) ++i;  // its value, which parse_json_flag read
     } else {
       args.push_back(argv[i]);
     }

@@ -5,8 +5,9 @@
 // binary heap via std::push_heap/pop_heap with no cancellation; its
 // "cancel" is the obvious retrofit (linear scan + erase + re-heapify),
 // which is exactly why the production queue went lazy instead. The
-// production numbers come from the real sim::EventQueue (4-ary heap,
-// lazy deletion, compaction; see src/sim/event_queue.hpp).
+// production numbers come from the real sim::EventQueue (4-ary heap of
+// compact keys over a callback slot store, lazy deletion, compaction;
+// see src/sim/event_queue.hpp).
 //
 // usage: bench_event_queue [--events N] [--json PATH]
 // The committed BENCH_service.json ledger is regenerated with:
@@ -183,14 +184,16 @@ bool write_ledger(const std::string& path, std::size_t n, const std::vector<Row>
   std::fprintf(f, "  \"note\": \"EventQueue at service-simulation scale: %zu pending events. "
                   "'before' is the pre-rewrite binary heap (std::push_heap/pop_heap, cancel by "
                   "linear erase + make_heap, sampled at 64 ops because it is O(n) per call); "
-                  "'after' is the production 4-ary lazy-deletion queue "
-                  "(src/sim/event_queue.hpp). Regenerate: ./build/bench/bench_event_queue "
+                  "'after' is the production 4-ary lazy-deletion queue of 24-byte keys over a "
+                  "callback slot store (src/sim/event_queue.hpp). Regenerate: "
+                  "./build/bench/bench_event_queue "
                   "--json BENCH_service.json\",\n", n);
   std::fprintf(f, "  \"before\": {\n");
   emit("binary heap, eager cancel (seed kernel + naive cancel retrofit)", before);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"after\": {\n");
-  emit("4-ary heap, lazy deletion + compaction", after);
+  emit("4-ary heap of (time, seq, slot) keys, callback slot store, lazy deletion + compaction",
+       after);
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);

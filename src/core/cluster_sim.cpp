@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <set>
-#include <tuple>
 #include <utility>
 
 #include "core/metrics.hpp"
@@ -73,23 +71,35 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
   // score-determined policy: such tasks read the same render on every
   // node type and share prefers_big, so pick() cannot tell them apart.
   // Under any other policy it is (job, phase, task index), the task.
+  // A job's tasks, maps then reduces, are classes first, first + 1, ...:
+  // fresh ones, or under a shared policy those of its row's first job.
   const bool shared = r.policy().score_determined();
-  std::map<std::tuple<std::size_t, int, std::size_t>, std::size_t> classes;
+  constexpr std::size_t kNoClass = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> row_first;  ///< per profile row: its first class
+  std::size_t classes = 0;
   std::vector<PendingTask> pending;
-  auto enqueue = [&](std::size_t j, int phase, std::size_t i) {
-    const std::size_t owner = shared ? r.jobs[j].spec : j;
-    const std::size_t cls = classes.try_emplace({owner, phase, i}, classes.size()).first->second;
-    pending.push_back({r.task_ref(j, phase, i), cls});
-  };
   for (const JobRequest& job : jobs) {
     std::size_t j = r.add_job(job);
     const perf::JobSim& p = r.profile(j, 0);
-    for (std::size_t i = 0; i < p.map_tasks.size(); ++i) enqueue(j, 0, i);
-    for (std::size_t i = 0; i < p.reduce_tasks.size(); ++i) enqueue(j, 1, i);
+    std::size_t first = classes;
+    if (shared) {
+      const std::size_t row = r.jobs[j].spec;
+      if (row_first.size() <= row) row_first.resize(row + 1, kNoClass);
+      if (row_first[row] == kNoClass) row_first[row] = classes;
+      first = row_first[row];
+    }
+    const std::size_t maps = p.map_tasks.size();
+    const std::size_t tasks = maps + p.reduce_tasks.size();
+    if (first == classes) classes += tasks;
+    for (std::size_t i = 0; i < tasks; ++i) {
+      pending.push_back({i < maps ? r.task_ref(j, 0, i) : r.task_ref(j, 1, i - maps), first + i});
+    }
   }
-  std::vector<DeferralStamp> stamps(classes.size());
-  /// Per job: tasks by flat node id, for the schedule's node_index.
-  std::vector<std::map<std::size_t, int>> tasks_by_node(jobs.size());
+  std::vector<DeferralStamp> stamps(classes);
+  /// Tasks by job and flat node id (job-major), for the schedule's
+  /// node_index.
+  const std::size_t nnodes = r.nodes.size();
+  std::vector<int> tasks_by_node(jobs.size() * nnodes, 0);
 
   // The pluggable placement layer: the policy object scores the
   // candidates this source enumerates (flat order — the historical
@@ -128,7 +138,7 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
         }
         TaskRef tr = it->tr;
         it = pending.erase(it);
-        tasks_by_node[tr.job][flat] += 1;
+        tasks_by_node[tr.job * nnodes + flat] += 1;
         r.start_task(tr, flat);
         progress = true;
       }
@@ -150,8 +160,9 @@ MixResult simulate_mix(Characterizer& ch, const std::vector<JobRequest>& jobs,
     s.app_class = js.cls;
     s.node_type = r.types[static_cast<std::size_t>(primary_type)]->name;
     int node_best = -1;
-    for (const auto& [flat, count] : tasks_by_node[j]) {
-      if (r.nodes[flat].type_id == primary_type && count > node_best) {
+    for (std::size_t flat = 0; flat < nnodes; ++flat) {
+      const int count = tasks_by_node[j * nnodes + flat];
+      if (count > 0 && r.nodes[flat].type_id == primary_type && count > node_best) {
         node_best = count;
         s.node_index = r.nodes[flat].index;
       }
@@ -290,19 +301,25 @@ ServiceResult simulate_service(Characterizer& ch, const std::vector<TenantWorklo
   };
   std::vector<std::pair<double, std::size_t>> node_key;  ///< each node's key in its set
   std::vector<bool> node_in_free(nodes.size(), false);
-  // Files `flat` under its current slot state and key, dropping its old
-  // entry first (a no-op on the initial filing: the key is unfiled).
+  // Files `flat` under its current slot state and key. Its old entry's
+  // node is extracted and refiled, so a refiling allocates nothing; the
+  // initial filing finds no entry and inserts one.
   auto reindex = [&](std::size_t flat) {
     const Node& n = nodes[flat];
     TypeIndex& ix = index[group_of(flat)];
-    (node_in_free[flat] ? ix.free_nodes : ix.busy_nodes).erase(node_key[flat]);
+    auto entry = (node_in_free[flat] ? ix.free_nodes : ix.busy_nodes).extract(node_key[flat]);
     node_in_free[flat] = n.has_free_slot();
     if (node_in_free[flat]) {
       node_key[flat] = {std::max(n.disk->free_at(), n.nic_est->free_at()), flat};
-      ix.free_nodes.insert(node_key[flat]);
     } else {
-      node_key[flat] = {n.est_ends.empty() ? 0.0 : *n.est_ends.begin(), flat};
-      ix.busy_nodes.insert(node_key[flat]);
+      node_key[flat] = {n.est_ends.empty() ? 0.0 : n.est_ends.front(), flat};
+    }
+    auto& to = node_in_free[flat] ? ix.free_nodes : ix.busy_nodes;
+    if (entry.empty()) {
+      to.insert(node_key[flat]);
+    } else {
+      entry.value() = node_key[flat];
+      to.insert(std::move(entry));
     }
   };
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -409,13 +426,15 @@ ServiceResult simulate_service(Characterizer& ch, const std::vector<TenantWorklo
     if (r.jobs[ji].remaining == 0) schedule_finalize(ji);
   };
 
+  // Fair-share order with per-tenant skip flags: one tenant's
+  // unplaceable head (wrong class, RR target busy, ETF defer) must not
+  // block another tenant whose head fits right now. FIFO head-of-line
+  // *within* a tenant is intended — that is the YARN queue semantics
+  // the fair-share layer models. One flag buffer serves every pass
+  // (start_task runs no callback, so dispatch never re-enters).
+  std::vector<bool> skip;
   r.dispatch = [&] {
-    // Fair-share order with per-tenant skip flags: one tenant's
-    // unplaceable head (wrong class, RR target busy, ETF defer) must
-    // not block another tenant whose head fits right now. FIFO
-    // head-of-line *within* a tenant is intended — that is the YARN
-    // queue semantics the fair-share layer models.
-    std::vector<bool> skip(static_cast<std::size_t>(ntenants), false);
+    skip.assign(static_cast<std::size_t>(ntenants), false);
     while (true) {
       int t = fsq.next_tenant_excluding(skip);
       if (t < 0) break;

@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
+#include <vector>
 
 #include "arch/server_config.hpp"
 #include "sim/resource.hpp"
@@ -29,8 +29,9 @@ struct Node {
   /// dispatcher can reason about *when* a full node frees up instead
   /// of only about who is free right now (myopic greedy placement
   /// strands tail tasks on slow nodes — the classic heterogeneous
-  /// straggler). Completions retire the earliest estimate.
-  std::multiset<Seconds> est_ends;
+  /// straggler). Completions retire the earliest estimate. Kept
+  /// sorted ascending; at most one entry per slot.
+  std::vector<Seconds> est_ends;
   int tasks_run = 0;
   Joules energy = 0;
 

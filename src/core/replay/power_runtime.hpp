@@ -5,9 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
-#include <iterator>
-#include <list>
 #include <string>
 #include <vector>
 
@@ -56,6 +55,7 @@ class PowerRuntime {
         default: s.level = s.base_level; break;  // kNone (cap only), kOndemand
       }
       s.plan = power::FreqPlan::constant(s.table->level_freq(s.level));
+      s.legs.reserve(static_cast<std::size_t>(n.slots->slots()));
       idle_total += n.server->power.system_idle_w;
       Hertz fmin = s.table->level_freq(0);
       max_delta = std::max(max_delta, s.model.node_draw(1, fmin) - s.model.node_draw(0, fmin));
@@ -104,29 +104,29 @@ class PowerRuntime {
 
   /// The power-mode compute channel: registers the leg (so level
   /// changes can reprice it) and schedules its completion at the
-  /// current level's duration. `dur_at(level)` is the task's full
-  /// compute time at that DVFS level.
-  void start_compute(std::size_t flat, std::function<Seconds(int)> dur_at,
-                     std::function<void()> done) {
+  /// current level's duration. `levels` is the task's render row, as
+  /// the replay core keeps it: levels[1 + l] is the job rendered at
+  /// DVFS level l, and task `task` of `phase` (0 = map, 1 = reduce)
+  /// there has the leg's full compute time at that level.
+  void start_compute(std::size_t flat, const std::vector<perf::JobSim>& levels, int phase,
+                     std::size_t task, sim::Callback done) {
     NodeState& s = state_[flat];
-    Seconds dur = dur_at(s.level);
+    ComputeLeg leg;
+    leg.levels = &levels;
+    leg.phase = phase;
+    leg.task = task;
+    Seconds dur = leg.dur_at(s.level);
     require(dur >= 0, "PowerRuntime: negative compute duration");
     if (dur <= 0) {  // nothing to reprice; keep the event semantics
       sim_.in(0, std::move(done));
       return;
     }
-    s.legs.emplace_back();
-    auto it = std::prev(s.legs.end());
-    it->dur_at = std::move(dur_at);
-    it->done = std::move(done);
-    it->since = sim_.now();
-    it->cur_dur = dur;
-    it->fire = [this, flat, it] {
-      auto finished = std::move(it->done);
-      state_[flat].legs.erase(it);
-      finished();
-    };
-    it->ev = sim_.in(dur, it->fire);
+    leg.key = next_leg_++;
+    leg.done = std::move(done);
+    leg.since = sim_.now();
+    leg.cur_dur = dur;
+    leg.ev = sim_.in(dur, fire(flat, leg.key));
+    s.legs.push_back(std::move(leg));
   }
 
   /// Call after a slot acquire/release on `flat`: advances the draw
@@ -162,14 +162,24 @@ class PowerRuntime {
  private:
   static constexpr Watts kCapEps = 1e-9;
 
+  /// One running task's compute on a node: where its per-level
+  /// durations are, its scheduled completion and its progress.
   struct ComputeLeg {
-    std::function<Seconds(int)> dur_at;  ///< full duration at a DVFS level
-    std::function<void()> done;
-    std::function<void()> fire;  ///< erases the leg, then done()
-    sim::EventId ev = 0;
-    double frac = 0;     ///< fraction completed before `since`
-    Seconds since = 0;   ///< when the current schedule began
-    Seconds cur_dur = 0; ///< full duration at the current level
+    const std::vector<perf::JobSim>* levels = nullptr;  ///< the task's render row
+    int phase = 0;           ///< 0 = map, 1 = reduce
+    std::size_t task = 0;    ///< index within the phase
+    std::uint64_t key = 0;   ///< names the leg to its completion event
+    sim::EventId ev = 0;     ///< the scheduled completion
+    double frac = 0;         ///< fraction completed before `since`
+    Seconds since = 0;       ///< when the current schedule began
+    Seconds cur_dur = 0;     ///< full duration at the current level
+    sim::Callback done;
+
+    /// Full duration at DVFS level `level`.
+    Seconds dur_at(int level) const {
+      const perf::JobSim& p = (*levels)[1 + static_cast<std::size_t>(level)];
+      return (phase == 0 ? p.map_tasks[task] : p.reduce_tasks[task]).cpu_s;
+    }
   };
 
   struct NodeState {
@@ -183,9 +193,23 @@ class PowerRuntime {
     int level = 0;
     int base_level = 0;    ///< the static operating point (cap recovery target)
     double last_busy = 0;  ///< busy-slot-seconds snapshot at the last tick
-    std::list<ComputeLeg> legs;
+    /// Running legs in start order, at most one per slot.
+    std::vector<ComputeLeg> legs;
     Hertz freq() const { return table->level_freq(level); }
   };
+
+  /// The completion event of `flat`'s leg `key`: drops the leg, then
+  /// runs its continuation.
+  sim::Callback fire(std::size_t flat, std::uint64_t key) {
+    return [this, flat, key] {
+      std::vector<ComputeLeg>& legs = state_[flat].legs;
+      auto it = std::find_if(legs.begin(), legs.end(),
+                             [key](const ComputeLeg& leg) { return leg.key == key; });
+      sim::Callback done = std::move(it->done);
+      legs.erase(it);
+      done();
+    };
+  }
 
   /// Re-evaluates `flat`'s cached draw after its slot count or level
   /// changed.
@@ -230,7 +254,7 @@ class PowerRuntime {
       sim_.cancel(leg.ev);
       leg.since = now;
       leg.cur_dur = leg.dur_at(s.level);
-      leg.ev = sim_.in(std::max<Seconds>(0, (1.0 - leg.frac) * leg.cur_dur), leg.fire);
+      leg.ev = sim_.in(std::max<Seconds>(0, (1.0 - leg.frac) * leg.cur_dur), fire(flat, leg.key));
     }
   }
 
@@ -280,6 +304,7 @@ class PowerRuntime {
   Seconds last_tick_ = 0;
   bool cap_exceeded_ = false;
   int level_changes_ = 0;
+  std::uint64_t next_leg_ = 0;  ///< key of the next leg started
 };
 
 }  // namespace bvl::core::replay

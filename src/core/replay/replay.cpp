@@ -85,6 +85,7 @@ Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
       n.type_id = type_id;
       n.index = i;
       n.slots = std::make_unique<sim::SlotPool>(sim, task_slots_for(spec.server, opts));
+      n.est_ends.reserve(static_cast<std::size_t>(n.slots->slots()));
       n.disk = std::make_unique<sim::ServiceQueue>(sim);
       n.nic = std::make_unique<sim::ServiceQueue>(sim);
       n.nic_est = n.nic.get();
@@ -143,6 +144,7 @@ Replay::Replay(Characterizer& ch, const std::vector<NodeSpec>& rack,
   for (const RunSpec& spec : distinct) {
     const mr::JobTrace& trace = ch.trace(spec);
     row_class_.push_back(classify_workload(ch, spec.workload));
+    row_prefers_big_.push_back(schedule_by_class(row_class_.back(), Goal::edp()).uses_xeon());
     for (const arch::ServerConfig* type : types) {
       const perf::EventPricer& pricer = ch.event_pricer(*type, opts.fabric.nic_preset);
       const int slots = task_slots_for(*type, opts);
@@ -160,7 +162,7 @@ std::size_t Replay::add_job(const JobRequest& req) {
   job.spec = spec_row_.at({static_cast<int>(req.workload), req.input_size});
   job.cls = row_class_[job.spec];
   job.tasks_by_type.assign(types.size(), 0);
-  job.prefers_big = schedule_by_class(job.cls, Goal::edp()).uses_xeon();
+  job.prefers_big = row_prefers_big_[job.spec];
   const perf::JobSim& p = profile(jobs.size() - 1, 0);
   job.nmaps = static_cast<int>(p.map_tasks.size());
   for (const perf::SimTask& rt : p.reduce_tasks) job.shuffle_bytes += rt.net_bytes;
@@ -219,9 +221,9 @@ void Replay::start_task(const TaskRef& tr, std::size_t flat) {
   Job& job = jobs[tr.job];
   job.first_start = std::min(job.first_start, sim.now());
   job.tasks_by_type[static_cast<std::size_t>(n.type_id)] += 1;
-  if (tr.phase == 0) job.maps_by_node[flat] += 1;
+  if (tr.phase == 0) count_map(job, flat);
   n.tasks_run += 1;
-  n.est_ends.insert(est_end);
+  n.est_ends.insert(std::upper_bound(n.est_ends.begin(), n.est_ends.end(), est_end), est_end);
   if (power != nullptr) power->draw_changed(flat);
 
   // Compute leg: in the node's frequency domain when the power runtime
@@ -233,17 +235,11 @@ void Replay::start_task(const TaskRef& tr, std::size_t flat) {
     const std::vector<perf::JobSim>* levels =
         &renders_[job.spec * types.size() + static_cast<std::size_t>(n.type_id)];
     cpu = [this, flat, levels, phase = tr.phase, i = tr.task](const perf::SimTask&,
-                                                              std::function<void()> done) {
-      power->start_compute(
-          flat,
-          [levels, phase, i](int lvl) {
-            const perf::JobSim& p = (*levels)[1 + static_cast<std::size_t>(lvl)];
-            return (phase == 0 ? p.map_tasks[i] : p.reduce_tasks[i]).cpu_s;
-          },
-          std::move(done));
+                                                              sim::Callback done) {
+      power->start_compute(flat, *levels, phase, i, std::move(done));
     };
   } else {
-    cpu = [this](const perf::SimTask& task, std::function<void()> done) {
+    cpu = [this](const perf::SimTask& task, sim::Callback done) {
       sim.in(task.cpu_s, std::move(done));
     };
   }
@@ -253,19 +249,17 @@ void Replay::start_task(const TaskRef& tr, std::size_t flat) {
   perf::ShuffleChannel net;
   if (router_ != nullptr) {
     net = [this, flat, ji = tr.job, phase = tr.phase](const perf::SimTask& task,
-                                                      std::function<void()> done) {
-      std::vector<std::pair<int, double>> sources;
+                                                      sim::Callback done) {
+      sources_.clear();
       if (phase == 1) {
-        const std::map<std::size_t, int>& maps = jobs[ji].maps_by_node;
-        sources.reserve(maps.size());
-        for (const auto& [f, c] : maps) {
-          sources.emplace_back(static_cast<int>(f), static_cast<double>(c));
+        for (const auto& [f, c] : jobs[ji].maps_by_node) {
+          sources_.emplace_back(static_cast<int>(f), static_cast<double>(c));
         }
       }
-      router_->shuffle(static_cast<int>(flat), sources, task.net_bytes, std::move(done));
+      router_->shuffle(static_cast<int>(flat), sources_, task.net_bytes, std::move(done));
     };
   } else {
-    net = [nic = n.nic.get()](const perf::SimTask& task, std::function<void()> done) {
+    net = [nic = n.nic.get()](const perf::SimTask& task, sim::Callback done) {
       nic->submit(task.nic_svc_s, std::move(done));
     };
   }
@@ -277,13 +271,32 @@ void Replay::start_task(const TaskRef& tr, std::size_t flat) {
   ++events_;
 }
 
+void Replay::count_map(Job& job, std::size_t flat) {
+  auto at = job.maps_by_node.lower_bound(flat);
+  if (at != job.maps_by_node.end() && at->first == flat) {
+    ++at->second;
+  } else if (spare_map_nodes_.empty()) {
+    job.maps_by_node.emplace_hint(at, flat, 1);
+  } else {
+    auto entry = std::move(spare_map_nodes_.back());
+    spare_map_nodes_.pop_back();
+    entry.key() = flat;
+    entry.mapped() = 1;
+    job.maps_by_node.insert(at, std::move(entry));
+  }
+}
+
 void Replay::task_done(std::size_t flat, std::size_t ji, int phase, const perf::SimTask& t) {
   Node& n = nodes[flat];
   Job& job = jobs[ji];
   n.energy += t.energy;
   job.energy += t.energy;
   job.last_finish = std::max(job.last_finish, sim.now());
-  --job.remaining;
+  if (--job.remaining == 0) {
+    while (!job.maps_by_node.empty()) {
+      spare_map_nodes_.push_back(job.maps_by_node.extract(job.maps_by_node.begin()));
+    }
+  }
   if (phase == 0 && ++job.maps_done >= job.slowstart_after) job.reduces_ready = true;
   n.est_ends.erase(n.est_ends.begin());
   n.slots->release();

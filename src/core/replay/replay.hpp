@@ -43,6 +43,8 @@ struct Job {
   std::vector<int> tasks_by_type;  ///< tasks started, by type id
   /// Map tasks by flat node id — the shuffle source weights: a reduce
   /// fetches from each node in proportion to the maps it ran there.
+  /// Emptied when the job's last task completes: the replay reuses its
+  /// nodes for later jobs' counts.
   std::map<std::size_t, int> maps_by_node;
   /// Total reduce-side fetch volume of the job (sum of reduce
   /// net_bytes) — the locality stake a map placement commits.
@@ -169,6 +171,9 @@ class Replay {
 
  private:
   void task_done(std::size_t flat, std::size_t job, int phase, const perf::SimTask& t);
+  /// Counts one more of `job`'s maps on `flat`, in a spare map node
+  /// when there is one.
+  void count_map(Job& job, std::size_t flat);
   void refresh_etf(std::size_t flat) const;
   /// Marks `flat`'s ETF terms stale. Besides the clock, only the
   /// node's own start_task (slot, end estimate, disk and NIC or fabric
@@ -183,6 +188,10 @@ class Replay {
   std::string where_;
   double slowstart_;
   std::unique_ptr<sim::FlowRouter> router_;  ///< non-null iff fabric is
+  /// A reduce's shuffle sources, rebuilt by each fabric network leg.
+  std::vector<std::pair<int, double>> sources_;
+  /// Nodes of finished jobs' maps_by_node, for count_map to reuse.
+  std::vector<std::map<std::size_t, int>::node_type> spare_map_nodes_;
   std::unique_ptr<placement::PlacementPolicy> policy_;
   /// The profile table. Rows are distinct (workload, input) specs;
   /// renders_[row * types + type][0] is the nominal-frequency render,
@@ -191,6 +200,7 @@ class Replay {
   /// independent, so only cpu_s differs across levels).
   std::map<std::pair<int, Bytes>, std::size_t> spec_row_;
   std::vector<AppClass> row_class_;
+  std::vector<bool> row_prefers_big_;  ///< per row: the EDP class schedule uses the big type
   std::vector<std::vector<perf::JobSim>> renders_;
   std::size_t rr_counter_ = 0;
   mutable std::vector<EtfTerms> etf_;  ///< per node, refreshed lazily

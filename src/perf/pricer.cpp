@@ -1,7 +1,6 @@
 #include "perf/pricer.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/event_queue.hpp"
@@ -22,72 +21,118 @@ std::vector<SimTask> EventPricer::task_demands(const PhaseCost& pc, const PhaseT
   // so each task gets a share of the phase transfer time proportional
   // to its standalone transfer time rather than an independent (and
   // wrongly burst-priced) estimate.
+  std::vector<SimTask> tasks(pc.tasks.size());
   double disk_weight_sum = 0;
-  std::vector<double> disk_weight(pc.tasks.size(), 0.0);
   for (std::size_t i = 0; i < pc.tasks.size(); ++i) {
     const TaskCost& tc = pc.tasks[i];
-    disk_weight[i] = model_.storage().transfer_time(static_cast<Bytes>(tc.device_bytes),
-                                                    static_cast<std::uint64_t>(tc.seeks));
-    disk_weight_sum += disk_weight[i];
+    // The weight waits in disk_svc_s until the weights are summed.
+    tasks[i].disk_svc_s = model_.storage().transfer_time(static_cast<Bytes>(tc.device_bytes),
+                                                         static_cast<std::uint64_t>(tc.seeks));
+    disk_weight_sum += tasks[i].disk_svc_s;
   }
-  std::vector<SimTask> tasks;
-  tasks.reserve(pc.tasks.size());
   for (std::size_t i = 0; i < pc.tasks.size(); ++i) {
     const TaskCost& tc = pc.tasks[i];
-    SimTask s;
+    SimTask& s = tasks[i];
     // Every task carries the phase-mean instruction count, the
     // granularity the closed form and its calibration are defined at;
     // per-task variation enters through fault time factors, I/O
     // volumes and wave shape.
     s.cpu_s = t.task_s * tc.time_factor + t.launch_s + t.active * model_.cluster().master_per_task_s;
-    s.disk_svc_s = disk_weight_sum > 0 ? t.io * (disk_weight[i] / disk_weight_sum) : 0.0;
+    s.disk_svc_s = disk_weight_sum > 0 ? t.io * (s.disk_svc_s / disk_weight_sum) : 0.0;
     s.net_bytes = tc.net_bytes;
     s.nic_svc_s = s.net_bytes / nic_rate_;
     // The non-overlappable tail of this task's own compute/IO/net —
     // the per-task analogue of the closed form's overlap penalty.
     s.serial_s = model_.overlap_s(s.cpu_s, s.disk_svc_s, s.nic_svc_s);
     s.backoff_s = tc.backoff_s;
-    tasks.push_back(s);
   }
   return tasks;
 }
 
 namespace {
 
-/// Per-phase replay bookkeeping shared by the task callbacks.
-struct PhaseProgress {
-  int done = 0;
-  Seconds last_finish = 0;
-};
+/// One job on one node's timeline: map and reduce tasks on their own
+/// slot pools over one disk and one NIC, compute a fixed-frequency
+/// delay, and the reduces released when the last map finishes. Every
+/// callback captures this object and the task by address (its tasks
+/// outlive the run), so none outgrows sim::Callback's inline storage.
+class NodeReplay {
+ public:
+  NodeReplay(const JobSim& js, const PhaseTerms& mt, const PhaseTerms& rt)
+      : map_(sim_, mt.active, js.map_tasks, mt.ntasks),
+        reduce_(sim_, rt.active, js.reduce_tasks, rt.ntasks) {}
+  NodeReplay(const NodeReplay&) = delete;  // callbacks capture `this`
+  NodeReplay& operator=(const NodeReplay&) = delete;
 
-/// Launches one task: acquire a slot, then replay its demands and
-/// release the slot on completion.
-void launch_task(sim::Simulation& sim, sim::SlotPool& pool, sim::ServiceQueue& disk,
-                 const ComputeChannel& cpu, const ShuffleChannel& net, const SimTask& t,
-                 std::function<void()> on_done) {
-  pool.acquire([&sim, &pool, &disk, &cpu, &net, t, on_done = std::move(on_done)] {
-    replay_task_on_slot(sim, disk, t, cpu, net, [&pool, on_done] {
-      on_done();
-      pool.release();
+  void run() {
+    for (const SimTask& t : map_.tasks) launch(map_, t);
+    if (map_.ntasks == 0) launch_reduces();
+    sim_.run();
+  }
+
+  Seconds map_time() const { return map_.last_finish; }
+  Seconds reduce_time() const {
+    return std::max<Seconds>(0, reduce_.last_finish - reduce_start_);
+  }
+
+ private:
+  /// Per-phase slot pool and progress.
+  struct Phase {
+    Phase(sim::Simulation& sim, int slots, const std::vector<SimTask>& t, int n)
+        : pool(sim, slots), tasks(t), ntasks(n) {}
+    sim::SlotPool pool;
+    const std::vector<SimTask>& tasks;
+    int ntasks;
+    int done = 0;
+    Seconds last_finish = 0;
+  };
+
+  /// Acquires a slot, then replays the task's demands on it.
+  void launch(Phase& ph, const SimTask& t) {
+    ph.pool.acquire([this, &ph, &t] {
+      replay_task_on_slot(sim_, disk_, t, cpu_, net_, [this, &ph] { finish(ph); });
     });
-  });
-}
+  }
+
+  void launch_reduces() {
+    reduce_start_ = sim_.now();
+    for (const SimTask& t : reduce_.tasks) launch(reduce_, t);
+  }
+
+  void finish(Phase& ph) {
+    ++ph.done;
+    ph.last_finish = std::max(ph.last_finish, sim_.now());
+    if (&ph == &map_ && map_.done == map_.ntasks) launch_reduces();
+    ph.pool.release();
+  }
+
+  sim::Simulation sim_;
+  sim::ServiceQueue disk_{sim_};
+  sim::ServiceQueue nic_{sim_};
+  const ComputeChannel cpu_ = [this](const SimTask& t, sim::Callback done) {
+    sim_.in(t.cpu_s, std::move(done));
+  };
+  const ShuffleChannel net_ = [this](const SimTask& t, sim::Callback done) {
+    nic_.submit(t.nic_svc_s, std::move(done));
+  };
+  Phase map_;
+  Phase reduce_;
+  Seconds reduce_start_ = 0;
+};
 
 }  // namespace
 
 void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, const SimTask& t,
                          const ComputeChannel& cpu, const ShuffleChannel& net,
-                         std::function<void()> on_complete) {
-  int parts = 1 + (t.disk_svc_s > 0 ? 1 : 0) + (t.nic_svc_s > 0 ? 1 : 0);
-  auto remaining = std::make_shared<int>(parts);
-  Seconds hold = t.serial_s + t.backoff_s;
-  auto part_done = [&sim, remaining, hold, on_complete = std::move(on_complete)] {
-    if (--*remaining > 0) return;
-    sim.in(hold, on_complete);
-  };
-  cpu(t, part_done);
-  if (t.disk_svc_s > 0) disk.submit(t.disk_svc_s, part_done);
-  if (t.nic_svc_s > 0) net(t, part_done);
+                         sim::Callback on_complete) {
+  const int parts = 1 + (t.disk_svc_s > 0 ? 1 : 0) + (t.nic_svc_s > 0 ? 1 : 0);
+  const Seconds hold = t.serial_s + t.backoff_s;
+  const sim::JoinId task = sim.join(parts, [&sim, hold, done = std::move(on_complete)]() mutable {
+    sim.in(hold, std::move(done));
+  });
+  cpu(t, sim.leg(task));
+  if (t.disk_svc_s > 0) disk.submit(t.disk_svc_s, sim.leg(task));
+  if (t.nic_svc_s > 0) net(t, sim.leg(task));
 }
 
 JobSim EventPricer::job_sim(const mr::JobTrace& trace, Hertz freq, int slots) const {
@@ -104,38 +149,8 @@ JobSim EventPricer::job_sim(const mr::JobTrace& trace, Hertz freq, int slots) co
   // ---- Replay both phases on one node's timeline: compute is a
   // fixed-frequency delay, every network leg queues on the one NIC,
   // and the reduces are released when the last map finishes ----
-  sim::Simulation sim;
-  sim::SlotPool map_slots(sim, mt.active);
-  sim::SlotPool reduce_slots(sim, rt.active);
-  sim::ServiceQueue disk(sim);
-  sim::ServiceQueue nic(sim);
-  ComputeChannel cpu = [&sim](const SimTask& t, std::function<void()> done) {
-    sim.in(t.cpu_s, std::move(done));
-  };
-  ShuffleChannel net = [&nic](const SimTask& t, std::function<void()> done) {
-    nic.submit(t.nic_svc_s, std::move(done));
-  };
-
-  PhaseProgress map_prog, reduce_prog;
-  Seconds reduce_start = 0;
-  std::function<void()> launch_reduces = [&] {
-    reduce_start = sim.now();
-    for (const SimTask& t : js.reduce_tasks) {
-      launch_task(sim, reduce_slots, disk, cpu, net, t, [&] {
-        ++reduce_prog.done;
-        reduce_prog.last_finish = std::max(reduce_prog.last_finish, sim.now());
-      });
-    }
-  };
-  for (const SimTask& t : js.map_tasks) {
-    launch_task(sim, map_slots, disk, cpu, net, t, [&] {
-      ++map_prog.done;
-      map_prog.last_finish = std::max(map_prog.last_finish, sim.now());
-      if (map_prog.done == mt.ntasks) launch_reduces();
-    });
-  }
-  if (mt.ntasks == 0) launch_reduces();
-  sim.run();
+  NodeReplay replay(js, mt, rt);
+  replay.run();
 
   // ---- Phase results: the replay, floored at the closed form;
   // energy accrues over the active (non-backoff) time, power over
@@ -161,8 +176,8 @@ JobSim EventPricer::job_sim(const mr::JobTrace& trace, Hertz freq, int slots) co
   js.priced.block_size = trace.config.block_size;
   js.priced.input_size = trace.config.input_size;
   js.priced.mappers = slots;
-  js.priced.map = settle(mt, map_prog.last_finish);
-  js.priced.reduce = settle(rt, std::max<Seconds>(0, reduce_prog.last_finish - reduce_start));
+  js.priced.map = settle(mt, replay.map_time());
+  js.priced.reduce = settle(rt, replay.reduce_time());
   js.priced.other = model_.price_phase(jc.other, freq, slots);
 
   // Per-task energy shares for cluster-level accounting: a task owns

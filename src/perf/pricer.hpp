@@ -20,11 +20,11 @@
 //   letting them diverge exactly where a timeline has more information.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "perf/perf_model.hpp"
 #include "perf/task_cost.hpp"
+#include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network/nic_preset.hpp"
 #include "sim/resource.hpp"
@@ -85,7 +85,7 @@ class EventPricer {
 /// exactly once: EventPricer's is a fixed-frequency `sim.in(t.cpu_s)`
 /// delay; the rack replay's power runtime (core/replay) reprices the
 /// unfinished fraction at every DVFS level change instead.
-using ComputeChannel = std::function<void(const SimTask&, std::function<void()>)>;
+using ComputeChannel = sim::InlineFunction<void(const SimTask&, sim::Callback)>;
 
 /// How a task's network demand reaches the wire. The channel receives
 /// the task and a completion callback, and must eventually invoke the
@@ -93,17 +93,18 @@ using ComputeChannel = std::function<void(const SimTask&, std::function<void()>)
 /// demand (nic_svc_s > 0). A NIC channel submits nic_svc_s to the
 /// node's NIC ServiceQueue; the rack replay's fabric channel hands
 /// net_bytes to a sim::FlowRouter instead.
-using ShuffleChannel = std::function<void(const SimTask&, std::function<void()>)>;
+using ShuffleChannel = sim::InlineFunction<void(const SimTask&, sim::Callback)>;
 
 /// Replays one task's demands on an already-held slot: compute goes
 /// to `cpu`, the disk demand queues FIFO on the shared device and the
 /// network demand goes to `net`, all submitted at one instant;
-/// `on_complete` fires once all three finish plus the serial slice and
-/// any retry backoff. Shared by EventPricer (single node) and the rack
-/// replay core (core/replay) so a task means the same thing on both
+/// `on_complete` fires once all three finish (they join on one
+/// Simulation::join record) plus the serial slice and any retry
+/// backoff. Shared by EventPricer (single node) and the rack replay
+/// core (core/replay) so a task means the same thing on both
 /// timelines. The caller releases the slot in `on_complete`.
 void replay_task_on_slot(sim::Simulation& sim, sim::ServiceQueue& disk, const SimTask& t,
                          const ComputeChannel& cpu, const ShuffleChannel& net,
-                         std::function<void()> on_complete);
+                         sim::Callback on_complete);
 
 }  // namespace bvl::perf

@@ -81,7 +81,7 @@ struct Hop {
 
 }  // namespace
 
-void Fabric::send(int src, int dst, double bytes, std::function<void()> on_delivered) {
+void Fabric::send(int src, int dst, double bytes, Callback on_delivered) {
   require(src >= 0 && src < topo_.nodes(), "Fabric: bad source node");
   require(dst >= 0 && dst < topo_.nodes(), "Fabric: bad destination node");
   require(bytes >= 0, "Fabric: negative flow size");
@@ -102,10 +102,11 @@ void Fabric::send(int src, int dst, double bytes, std::function<void()> on_deliv
                      tor_rate_[static_cast<std::size_t>(src_rack)]};
     if (src_rack != dst_rack) {
       if (!spine_.empty()) {
-        const std::uint64_t pair =
-            static_cast<std::uint64_t>(src) * static_cast<std::uint64_t>(topo_.nodes()) +
-            static_cast<std::uint64_t>(dst);
-        const int link = spine_link_of(src, dst, pair_seq_[pair]++, spine_links());
+        if (pair_seq_.empty()) pair_seq_.resize(static_cast<std::size_t>(topo_.nodes()));
+        std::vector<std::uint64_t>& row = pair_seq_[static_cast<std::size_t>(src)];
+        if (row.empty()) row.assign(static_cast<std::size_t>(topo_.nodes()), 0);
+        const int link =
+            spine_link_of(src, dst, row[static_cast<std::size_t>(dst)]++, spine_links());
         spine_link_bytes_[static_cast<std::size_t>(link)] += bytes;
         hops[nhops++] = {spine_[static_cast<std::size_t>(link)].get(), spine_link_rate_};
       }
@@ -130,16 +131,11 @@ void Fabric::send(int src, int dst, double bytes, std::function<void()> on_deliv
   // Submission order is path order (egress outward), and because
   // ServiceQueue::submit reserves its start slot synchronously, two
   // flows sent back-to-back contend FIFO on every shared link.
-  auto remaining = std::make_shared<int>(0);
+  int links = 0;
   for (int h = 0; h < nhops; ++h) {
-    if (hops[h].rate > 0) ++*remaining;
+    if (hops[h].rate > 0) ++links;
   }
-  auto part_done = [this, bytes, remaining, on_delivered = std::move(on_delivered)] {
-    if (--*remaining > 0) return;
-    stats_.bytes_delivered += bytes;
-    on_delivered();
-  };
-  if (*remaining == 0) {
+  if (links == 0) {
     // Every layer non-blocking (only possible with all-zero oversubs
     // and... never for the NIC, which is always finite). Defensive:
     // still deliver through the event queue for stable ordering.
@@ -147,8 +143,12 @@ void Fabric::send(int src, int dst, double bytes, std::function<void()> on_deliv
     sim_.in(0, std::move(on_delivered));
     return;
   }
+  const JoinId flow = sim_.join(links, [this, bytes, done = std::move(on_delivered)] {
+    stats_.bytes_delivered += bytes;
+    done();
+  });
   for (int h = 0; h < nhops; ++h) {
-    if (hops[h].rate > 0) hops[h].link->submit(bytes / hops[h].rate, part_done);
+    if (hops[h].rate > 0) hops[h].link->submit(bytes / hops[h].rate, sim_.leg(flow));
   }
 }
 
@@ -184,27 +184,25 @@ FabricStats Fabric::stats() const {
 }
 
 void FlowRouter::shuffle(int dst, const std::vector<std::pair<int, double>>& sources,
-                         double bytes, std::function<void()> on_done) {
+                         double bytes, Callback on_done) {
   require(static_cast<bool>(on_done), "FlowRouter: null completion callback");
   double total = 0;
+  int flows = 0;
   for (const auto& [node, weight] : sources) {
-    if (weight > 0) total += weight;
+    if (weight > 0) {
+      total += weight;
+      ++flows;
+    }
   }
   if (total <= 0) {
     fabric_.send(dst, dst, bytes, std::move(on_done));
     return;
   }
-  auto remaining = std::make_shared<int>(0);
-  for (const auto& [node, weight] : sources) {
-    if (weight > 0) ++*remaining;
-  }
-  auto flow_done = [remaining, on_done = std::move(on_done)] {
-    if (--*remaining > 0) return;
-    on_done();
-  };
+  Simulation& sim = fabric_.simulation();
+  const JoinId shuffle = sim.join(flows, std::move(on_done));
   for (const auto& [node, weight] : sources) {
     if (weight <= 0) continue;
-    fabric_.send(node, dst, bytes * (weight / total), flow_done);
+    fabric_.send(node, dst, bytes * (weight / total), sim.leg(shuffle));
   }
 }
 

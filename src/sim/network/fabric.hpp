@@ -25,9 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -65,15 +63,17 @@ class Fabric {
   Fabric(Simulation& sim, Topology topo, std::vector<double> nic_bytes_per_s);
 
   /// Replays one flow of `bytes` from node `src` to node `dst`;
-  /// `on_delivered` fires when its last link finishes. Zero-byte flows
-  /// still round-trip the event queue (via the ingress link) so
-  /// callback order stays deterministic.
-  void send(int src, int dst, double bytes, std::function<void()> on_delivered);
+  /// `on_delivered` fires when its last link finishes (the links join
+  /// on one Simulation::join record). Zero-byte flows still round-trip
+  /// the event queue (via the ingress link) so callback order stays
+  /// deterministic.
+  void send(int src, int dst, double bytes, Callback on_delivered);
 
   /// Completion time of this flow on an idle fabric: the bottleneck-
   /// link closed form max-over-hops(bytes/rate).
   Seconds ideal_flow_s(int src, int dst, double bytes) const;
 
+  Simulation& simulation() { return sim_; }
   const Topology& topology() const { return topo_; }
   int rack_of(int node) const { return topo_.rack_of[static_cast<std::size_t>(node)]; }
   double nic_rate(int node) const { return nic_rate_[static_cast<std::size_t>(node)]; }
@@ -126,9 +126,9 @@ class Fabric {
   /// topology's spine_multipath.
   std::vector<std::unique_ptr<ServiceQueue>> spine_;
   std::vector<double> spine_link_bytes_;  ///< per-link ledger
-  /// Per-(src, dst) flow sequence counters feeding the ECMP hash —
-  /// keyed src * nodes + dst, grown on demand.
-  std::unordered_map<std::uint64_t, std::uint64_t> pair_seq_;
+  /// Per-(src, dst) flow sequence counters feeding the ECMP hash:
+  /// pair_seq_[src][dst], a source's row sized on its first spine flow.
+  std::vector<std::vector<std::uint64_t>> pair_seq_;
   FabricStats stats_;
 };
 
@@ -144,12 +144,13 @@ class FlowRouter {
   explicit FlowRouter(Fabric& fabric) : fabric_(fabric) {}
 
   /// Sends bytes * weight/total from every (node, weight) source to
-  /// `dst`; `on_done` fires when the last flow lands. Non-positive
-  /// weights are skipped; with no usable source (a map task's HDFS
-  /// read, a map-less job) the whole volume is one local flow — which
-  /// still pays dst's ingress NIC, per the routing contract above.
+  /// `dst`; `on_done` fires when the last flow lands (the flows join on
+  /// one Simulation::join record). Non-positive weights are skipped;
+  /// with no usable source (a map task's HDFS read, a map-less job) the
+  /// whole volume is one local flow — which still pays dst's ingress
+  /// NIC, per the routing contract above.
   void shuffle(int dst, const std::vector<std::pair<int, double>>& sources, double bytes,
-               std::function<void()> on_done);
+               Callback on_done);
 
   Fabric& fabric() { return fabric_; }
 

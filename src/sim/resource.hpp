@@ -6,8 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 
@@ -26,7 +25,7 @@ class SlotPool {
 
   /// Requests a slot; `on_granted` runs at the grant time. Grants are
   /// FIFO among waiters.
-  void acquire(std::function<void()> on_granted);
+  void acquire(Callback on_granted);
 
   /// Takes a free slot immediately, or returns false. Never jumps the
   /// acquire() wait queue.
@@ -39,7 +38,7 @@ class SlotPool {
 
   int slots() const { return slots_; }
   int in_use() const { return in_use_; }
-  std::size_t waiting() const { return waiters_.size(); }
+  std::size_t waiting() const { return waiters_.size() - head_; }
 
   /// Integral of in_use over time up to `now` (slot-seconds).
   Seconds busy_slot_seconds(Seconds now) const;
@@ -52,7 +51,10 @@ class SlotPool {
   int in_use_ = 0;
   Seconds busy_acc_ = 0;      ///< integral up to last_change_
   Seconds last_change_ = 0;
-  std::deque<std::function<void()>> waiters_;
+  /// FIFO of pending grants from waiters_[head_]; the granted prefix
+  /// is dropped in place once it is half the buffer.
+  std::vector<Callback> waiters_;
+  std::size_t head_ = 0;
 };
 
 /// One serialized device (disk or NIC): a request of `service_s`
@@ -64,7 +66,7 @@ class ServiceQueue {
   explicit ServiceQueue(Simulation& sim) : sim_(sim) {}
 
   /// Enqueues a request; `on_done` fires at its completion time.
-  void submit(Seconds service_s, std::function<void()> on_done);
+  void submit(Seconds service_s, Callback on_done);
 
   /// Earliest time a new request could start service.
   Seconds free_at() const { return free_at_; }

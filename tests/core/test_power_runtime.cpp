@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -61,11 +62,26 @@ struct Rack {
     return w;
   }
 
+  /// A render row for PowerRuntime::start_compute, kept alive with the
+  /// rack: row[1 + l] holds one map task whose compute takes
+  /// dur_at(l) at DVFS level l.
+  template <class DurAt>
+  const std::vector<perf::JobSim>& render_row(int levels, DurAt dur_at) {
+    std::vector<perf::JobSim>& row = rows.emplace_back(1 + static_cast<std::size_t>(levels));
+    for (int l = 0; l < levels; ++l) {
+      perf::SimTask t;
+      t.cpu_s = dur_at(l);
+      row[1 + static_cast<std::size_t>(l)].map_tasks.push_back(t);
+    }
+    return row;
+  }
+
   sim::Simulation sim;
   const arch::ServerConfig xeon = arch::xeon_e5_2420();
   const arch::ServerConfig atom = arch::atom_c2758();
   std::vector<power::PowerModel> models;
   std::vector<Node> nodes;
+  std::deque<std::vector<perf::JobSim>> rows;
 };
 
 constexpr Hertz kBaseFreq = 1.8 * GHz;
@@ -118,10 +134,10 @@ TEST(PowerRuntime, CachedRackDrawMatchesAFreshNodeOrderSum) {
           check();
           ++outstanding;
           const arch::DvfsTable& dvfs = n.server->dvfs;
-          auto dur_at = [work, &dvfs](int lvl) {
+          const auto& row = rack.render_row(dvfs.levels(), [work, &dvfs](int lvl) {
             return work * dvfs.max_freq() / dvfs.level_freq(lvl);
-          };
-          rt.start_compute(flat, dur_at, [&, flat] {
+          });
+          rt.start_compute(flat, row, 0, 0, [&, flat] {
             rack.nodes[flat].slots->release();
             rt.draw_changed(flat);
             check();
@@ -200,13 +216,14 @@ void start_leg(Rack& rack, PowerRuntime& rt, Seconds start, std::array<Seconds, 
   rack.sim.at(start, [&rack, &rt, dur, finished] {
     ASSERT_TRUE(rack.nodes[0].slots->try_acquire());
     rt.draw_changed(0);
-    rt.start_compute(
-        0, [dur](int lvl) { return dur[static_cast<std::size_t>(lvl)]; },
-        [&rack, &rt, finished] {
-          *finished = rack.sim.now();
-          rack.nodes[0].slots->release();
-          rt.draw_changed(0);
-        });
+    const auto& row = rack.render_row(static_cast<int>(dur.size()), [dur](int lvl) {
+      return dur[static_cast<std::size_t>(lvl)];
+    });
+    rt.start_compute(0, row, 0, 0, [&rack, &rt, finished] {
+      *finished = rack.sim.now();
+      rack.nodes[0].slots->release();
+      rt.draw_changed(0);
+    });
   });
 }
 

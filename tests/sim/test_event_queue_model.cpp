@@ -2,7 +2,10 @@
 // stream of push/cancel/pop operations is mirrored against a naive
 // reference model (an ordered set of live (time, seq) keys), and every
 // observable — size, emptiness, the fired event and the clock after
-// each pop, cancel's return value — must match exactly.
+// each pop, cancel's return value — must match exactly. Each popped
+// event must run its own callback: every callback carries its id in a
+// payload (every third one too large for the inline storage), and
+// every callback, run or cancelled, must be destroyed by the drain.
 // The reference is obviously correct; the queue is fast. Any
 // divergence (a lost event, a resurrected cancel, a tie broken out of
 // submission order, a compaction that reorders) fails here before it
@@ -15,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <utility>
 #include <vector>
@@ -28,6 +32,17 @@
 
 namespace bvl::sim {
 namespace {
+
+/// Counts its live copies: the queue must destroy every callback it
+/// stored exactly once.
+struct LiveToken {
+  static inline int live = 0;
+  LiveToken() { ++live; }
+  LiveToken(const LiveToken&) { ++live; }
+  LiveToken(LiveToken&&) noexcept { ++live; }
+  LiveToken& operator=(const LiveToken&) = default;
+  ~LiveToken() { --live; }
+};
 
 TEST(EventQueueModel, MatchesNaiveReferenceUnderRandomOps) {
   const int kOps = BVL_MODEL_OPS;
@@ -44,7 +59,14 @@ TEST(EventQueueModel, MatchesNaiveReferenceUnderRandomOps) {
     // FIFO tie-break is exercised constantly, not incidentally.
     Seconds t = clock.now() + 0.5 * static_cast<double>(rng.uniform(0, 20));
     EventId my = static_cast<EventId>(time_of.size());
-    EventId id = q.push(t, [&fired, my] { fired.push_back(my); });
+    EventId id;
+    if (my % 3 == 0) {
+      std::array<EventId, 12> payload;  // beyond sim::Callback's inline capacity
+      payload.fill(my);
+      id = q.push(t, [&fired, payload, tok = LiveToken{}] { fired.push_back(payload[11]); });
+    } else {
+      id = q.push(t, [&fired, my, tok = LiveToken{}] { fired.push_back(my); });
+    }
     // Handles are documented to be the insertion sequence numbers.
     ASSERT_EQ(id, my);
     ref.insert({t, id});
@@ -87,6 +109,7 @@ TEST(EventQueueModel, MatchesNaiveReferenceUnderRandomOps) {
   while (!ref.empty()) pop_one();
   ASSERT_TRUE(q.empty());
   ASSERT_EQ(q.size(), 0u);
+  EXPECT_EQ(LiveToken::live, 0);
 }
 
 TEST(EventQueueModel, CancelHeavyPhasesForceCompaction) {

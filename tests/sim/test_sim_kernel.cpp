@@ -3,7 +3,9 @@
 // pools in both push and pull styles, and the serialized FIFO device.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -95,6 +97,134 @@ TEST(EventQueue, InterleavesNestedSchedulingWithPendingEvents) {
   sim.at(1.0, [&] { order.push_back(12); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{10, 12, 11, 15, 20}));
+}
+
+// ---------------------------------------------------------------------------
+// Callback storage: the heap orders keys and the callbacks live in a
+// slot store that is recycled through a free list (sim/event_queue.hpp).
+// ---------------------------------------------------------------------------
+
+/// Counts its live copies, so a test can see that every callback the
+/// queue stored was destroyed exactly once.
+struct LiveToken {
+  static inline int live = 0;
+  LiveToken() { ++live; }
+  LiveToken(const LiveToken&) { ++live; }
+  LiveToken(LiveToken&&) noexcept { ++live; }
+  LiveToken& operator=(const LiveToken&) = default;
+  ~LiveToken() { --live; }
+};
+
+TEST(EventQueue, CallbackMayGrowTheStoreWhileItRuns) {
+  // The running callback pushes far more events than the store holds,
+  // so the store reallocates under it; its own captures must survive
+  // (it was moved out of its slot before running) and every pushed
+  // event must run in (time, seq) order.
+  Simulation sim;
+  std::vector<int> order;
+  const std::string tag(64, 'x');  // heap-held capture, read after the growth
+  sim.at(1.0, [&sim, &order, tag] {
+    for (int i = 0; i < 5000; ++i) {
+      sim.in(static_cast<double>(i % 7), [&order, i] { order.push_back(i); });
+    }
+    order.push_back(static_cast<int>(tag.size()));
+  });
+  sim.run();
+  ASSERT_EQ(order.size(), 5001u);
+  EXPECT_EQ(order.front(), 64);
+  std::vector<int> expected;
+  for (int r = 0; r < 7; ++r) {
+    for (int i = r; i < 5000; i += 7) expected.push_back(i);
+  }
+  EXPECT_EQ(std::vector<int>(order.begin() + 1, order.end()), expected);
+}
+
+TEST(EventQueue, ReusedSlotOfACancelledEventNeverRunsTheOldCallback) {
+  // a and b share a timestamp; b is cancelled. Popping a drops b's
+  // dead key, so both slots are free while a runs, and the two events
+  // a pushes take exactly those two slots (the store does not grow).
+  // b's callback must be gone, and the new events queue behind every
+  // older event at their time.
+  LiveToken::live = 0;
+  {
+    Simulation sim;
+    std::string order;
+    sim.at(1.0, [&] {
+      order.push_back('a');
+      sim.at(1.0, [&order, t = LiveToken{}] { order.push_back('c'); });
+      sim.at(1.0, [&order, t = LiveToken{}] { order.push_back('d'); });
+    });
+    const EventId b = sim.at(1.0, [&order, t = LiveToken{}] { order.push_back('b'); });
+    sim.at(2.0, [&order] { order.push_back('e'); });
+    EXPECT_EQ(LiveToken::live, 1);
+    EXPECT_TRUE(sim.cancel(b));
+    sim.run();
+    EXPECT_EQ(order, "acde");
+    EXPECT_FALSE(sim.cancel(b));
+    EXPECT_EQ(LiveToken::live, 0);  // b's callback was destroyed, c's and d's ran
+  }
+  EXPECT_EQ(LiveToken::live, 0);
+}
+
+TEST(EventQueue, PopsAfterCompactionOverReusedSlotsKeepOrder) {
+  // Two rounds of cancel-driven compaction; the second runs over slots
+  // the first freed and later pushes reused. The survivors of both
+  // rounds must fire in exact (time, seq) order, each running its own
+  // callback, and every cancelled callback must be destroyed.
+  LiveToken::live = 0;
+  {
+    EventQueue q;
+    SimClock clock;
+    std::vector<EventId> fired;
+    std::vector<std::pair<Seconds, EventId>> live;
+    EventId next = 0;
+    auto push_round = [&](int n) {
+      std::vector<std::pair<Seconds, EventId>> ids;
+      for (int i = 0; i < n; ++i) {
+        const Seconds t = static_cast<double>((i * 37) % 11);
+        const EventId my = next++;
+        ASSERT_EQ(q.push(t, [&fired, my, tok = LiveToken{}] { fired.push_back(my); }), my);
+        ids.push_back({t, my});
+      }
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (i % 8 == 0) {
+          live.push_back(ids[i]);
+        } else {
+          ASSERT_TRUE(q.cancel(ids[i].second));
+        }
+      }
+    };
+    push_round(400);  // compacts; frees the cancelled slots
+    push_round(400);  // reuses them, then compacts over them
+    std::sort(live.begin(), live.end());
+    ASSERT_EQ(q.size(), live.size());
+    // Dead entries not yet dropped still hold their callbacks.
+    EXPECT_GE(static_cast<std::size_t>(LiveToken::live), live.size());
+    while (!q.empty()) q.run_next(clock);
+    ASSERT_EQ(fired.size(), live.size());
+    for (std::size_t i = 0; i < live.size(); ++i) EXPECT_EQ(fired[i], live[i].second);
+    EXPECT_EQ(LiveToken::live, 0);
+  }
+  EXPECT_EQ(LiveToken::live, 0);
+}
+
+TEST(EventQueue, JoinRunsItsContinuationOnTheLastLegAndRecyclesItsRecord) {
+  Simulation sim;
+  std::vector<std::string> log;
+  const JoinId first = sim.join(3, [&] { log.push_back("first@" + std::to_string(sim.now())); });
+  sim.at(2.0, sim.leg(first));
+  sim.at(1.0, sim.leg(first));
+  sim.at(3.0, [&] {
+    sim.arrive(first);
+    // The record was recycled before the continuation ran, so a join
+    // opened now may take it; its legs are counted afresh.
+    const JoinId second = sim.join(2, [&] { log.push_back("second@" + std::to_string(sim.now())); });
+    EXPECT_EQ(second, first);
+    sim.in(1.0, sim.leg(second));
+    sim.in(1.0, sim.leg(second));
+  });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"first@3.000000", "second@4.000000"}));
 }
 
 TEST(SimClock, RejectsTimeTravel) {
